@@ -37,7 +37,6 @@ from .noising import (
     NoiseConfig,
     Window,
     build_example,
-    corrupt_corpus,
     derive_seed,
     replay_window_noise,
     sample_poisson,
@@ -93,7 +92,6 @@ __all__ = [
     "NoiseConfig",
     "Window",
     "build_example",
-    "corrupt_corpus",
     "derive_seed",
     "replay_window_noise",
     "sample_poisson",

@@ -12,7 +12,9 @@ Everything here is plain numpy with explicit backward functions. Each
 ``*_backward`` takes the forward inputs plus the output cotangent and
 returns input cotangents; :func:`gradient_check` compares any such pair
 against central finite differences. No autograd framework is involved,
-which keeps the kernels auditable and the derivative tests honest.
+which keeps the kernels auditable and the derivative tests honest. The
+sparse layer's forward and backward share one batched core that handles
+every block at once.
 
 Sorting matrices are plain float arrays. After ``iterations`` Sinkhorn
 passes plus one closing row pass, every row sums to 1 within 1e-6 and
@@ -21,7 +23,6 @@ column sums approach 1 as iterations grow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -171,12 +172,16 @@ def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     return q, k, v
 
 
+def _full_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Attention weights softmax(q kᵀ / sqrt(d)), one row per query."""
+    scale = 1.0 / math.sqrt(q.shape[1])
+    return _softmax(q @ k.T * scale, axis=1)
+
+
 def full_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Standard softmax(q kᵀ / sqrt(d)) v."""
     q, k, v = _check_qkv(q, k, v)
-    scale = 1.0 / math.sqrt(q.shape[1])
-    weights = _softmax(q @ k.T * scale, axis=1)
-    return weights @ v
+    return _full_weights(q, k) @ v
 
 
 def full_attention_backward(
@@ -185,7 +190,7 @@ def full_attention_backward(
     q, k, v = _check_qkv(q, k, v)
     d_out = np.asarray(d_out, dtype=np.float64)
     scale = 1.0 / math.sqrt(q.shape[1])
-    weights = _softmax(q @ k.T * scale, axis=1)
+    weights = _full_weights(q, k)
     d_weights = d_out @ v.T
     d_v = weights.T @ d_out
     d_logits = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
@@ -230,48 +235,33 @@ def sort_blocks_backward(
     return d_summaries, d_mixing
 
 
-def _masked_softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    shifted = np.where(valid[None, :], logits, -np.inf)
-    peak = shifted.max(axis=1, keepdims=True)
-    weights = np.where(valid[None, :], np.exp(shifted - peak), 0.0)
-    return weights / weights.sum(axis=1, keepdims=True)
+def _resolve_n_real(spec: AttentionSpec, n_real: int | None) -> int:
+    if n_real is None:
+        return spec.seq_len
+    if not 0 <= n_real <= spec.seq_len:
+        raise ValueError("n_real must be in [0, seq_len]")
+    return n_real
 
 
-@dataclass
-class _BlockLayout:
-    """Padded, block-reshaped views of one attention call's inputs."""
-
-    qb: np.ndarray
-    kb: np.ndarray
-    vb: np.ndarray
-    real: np.ndarray
-    real_blocks: np.ndarray
+def _real_blocks(spec: AttentionSpec, n_real: int) -> np.ndarray:
+    """(num_blocks, block_size) mask, 1.0 at positions before n_real."""
+    real = np.arange(spec.padded_len) < n_real
+    return real.reshape(spec.num_blocks, spec.block_size).astype(np.float64)
 
 
-def _block_layout(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, spec: AttentionSpec, n_real: int
-) -> _BlockLayout:
-    padded, blocks, size, dim = (
-        spec.padded_len,
-        spec.num_blocks,
-        spec.block_size,
-        spec.model_dim,
-    )
-    real = (np.arange(padded) < n_real).astype(np.float64)
+def _pad_blocks(m: np.ndarray, spec: AttentionSpec, n_real: int) -> np.ndarray:
+    """Rows of m before n_real, zero elsewhere and past seq_len, as
+    (num_blocks, block_size, model_dim)."""
+    out = np.zeros((spec.padded_len, spec.model_dim))
+    out[:n_real] = m[:n_real]
+    return out.reshape(spec.num_blocks, spec.block_size, spec.model_dim)
 
-    def pad_and_zero(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((padded, dim))
-        out[: spec.seq_len] = m
-        return (out * real[:, None]).reshape(blocks, size, dim)
 
-    real_blocks = real.reshape(blocks, size)
-    return _BlockLayout(
-        qb=pad_and_zero(q),
-        kb=pad_and_zero(k),
-        vb=pad_and_zero(v),
-        real=real,
-        real_blocks=real_blocks,
-    )
+def _unpad(blocked: np.ndarray, spec: AttentionSpec, n_real: int) -> np.ndarray:
+    """Inverse of _pad_blocks: (seq_len, model_dim) rows, zero from n_real."""
+    flat = blocked.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
+    flat[n_real:] = 0.0
+    return flat
 
 
 def _check_attention_args(
@@ -288,11 +278,64 @@ def _check_attention_args(
     sorting = np.asarray(sorting, dtype=np.float64)
     if sorting.shape != (spec.num_blocks, spec.num_blocks):
         raise ValueError("sorting must be num_blocks x num_blocks")
-    if n_real is None:
-        n_real = spec.seq_len
-    if not 0 <= n_real <= spec.seq_len:
-        raise ValueError("n_real must be in [0, seq_len]")
-    return q, k, v, sorting, n_real
+    return q, k, v, sorting, _resolve_n_real(spec, n_real)
+
+
+def _own_and_mixed(
+    m: np.ndarray, spec: AttentionSpec, sorting: np.ndarray, n_real: int
+) -> np.ndarray:
+    """Padded blocks of m, each followed by its sorting-mixed block
+    Σ_b' sorting[b, b'] m[b'], as (num_blocks, 2 * block_size, model_dim)."""
+    own = _pad_blocks(m, spec, n_real)
+    mixed = (sorting @ own.reshape(spec.num_blocks, -1)).reshape(own.shape)
+    return np.concatenate([own, mixed], axis=1)
+
+
+def _sparse_weights(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    spec: AttentionSpec,
+    sorting: np.ndarray,
+    n_real: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shared core of the sparse layer: all blocks at once, on checked
+    inputs.
+
+    Returns (qb, cat_k, cat_v, weights). qb is the padded queries as
+    (num_blocks, block_size, model_dim); cat_k and cat_v hold each block's
+    own keys/values followed by its mixed ones. weights is (num_blocks,
+    block_size, 2 * block_size) and exactly zero at invalid columns and in
+    every row that has no valid column at all, so the blocked output is
+    weights @ cat_v, with rows from n_real on still to be zeroed.
+    """
+    real = _real_blocks(spec, n_real)
+    valid = np.concatenate([real, sorting @ real], axis=1) > 0.0
+    qb = _pad_blocks(q, spec, n_real)
+    cat_k = _own_and_mixed(k, spec, sorting, n_real)
+    cat_v = _own_and_mixed(v, spec, sorting, n_real)
+    weights = qb @ cat_k.transpose(0, 2, 1)
+    weights *= 1.0 / math.sqrt(spec.model_dim)
+    np.copyto(weights, -np.inf, where=~valid[:, None, :])
+    peak = weights.max(axis=2, keepdims=True)
+    peak[np.isneginf(peak)] = 0.0
+    weights -= peak
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=2, keepdims=True)
+    total[total == 0.0] = 1.0
+    weights /= total
+    return qb, cat_k, cat_v, weights
+
+
+def _pull_back_mix(
+    d_cat: np.ndarray, cat: np.ndarray, sorting: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents of the own blocks and of sorting, given the cotangent of
+    an _own_and_mixed stack."""
+    blocks, size = len(cat), cat.shape[1] // 2
+    d_mixed = d_cat[:, size:].reshape(blocks, -1)
+    d_own = d_cat[:, :size] + (sorting.T @ d_mixed).reshape(blocks, size, -1)
+    return d_own, d_mixed @ cat[:, :size].reshape(blocks, -1).T
 
 
 def sinkhorn_attention(
@@ -314,25 +357,8 @@ def sinkhorn_attention(
     (default: none).
     """
     q, k, v, sorting, n_real = _check_attention_args(q, k, v, spec, sorting, n_real)
-    layout = _block_layout(q, k, v, spec, n_real)
-    size, dim = spec.block_size, spec.model_dim
-    scale = 1.0 / math.sqrt(dim)
-    mixed_k = np.einsum("ab,bsd->asd", sorting, layout.kb)
-    mixed_v = np.einsum("ab,bsd->asd", sorting, layout.vb)
-    mixed_real = (sorting @ layout.real_blocks) > 0.0
-    out = np.zeros((spec.padded_len, dim))
-    for b in range(spec.num_blocks):
-        block_real = layout.real_blocks[b] > 0.0
-        if not block_real.any():
-            continue
-        cat_k = np.concatenate([layout.kb[b], mixed_k[b]], axis=0)
-        cat_v = np.concatenate([layout.vb[b], mixed_v[b]], axis=0)
-        valid = np.concatenate([block_real, mixed_real[b]])
-        weights = _masked_softmax(layout.qb[b] @ cat_k.T * scale, valid)
-        block_out = weights @ cat_v
-        block_out[~block_real] = 0.0
-        out[b * size : (b + 1) * size] = block_out
-    return out[: spec.seq_len]
+    _, _, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
+    return _unpad(weights @ cat_v, spec, n_real)
 
 
 def sinkhorn_attention_backward(
@@ -346,53 +372,26 @@ def sinkhorn_attention_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_q, d_k, d_v, d_sorting) of sinkhorn_attention."""
     q, k, v, sorting, n_real = _check_attention_args(q, k, v, spec, sorting, n_real)
-    layout = _block_layout(q, k, v, spec, n_real)
-    size, dim = spec.block_size, spec.model_dim
-    scale = 1.0 / math.sqrt(dim)
-    mixed_k = np.einsum("ab,bsd->asd", sorting, layout.kb)
-    mixed_v = np.einsum("ab,bsd->asd", sorting, layout.vb)
-    mixed_real = (sorting @ layout.real_blocks) > 0.0
-
-    d_out_padded = np.zeros((spec.padded_len, dim))
-    d_out_padded[: spec.seq_len] = np.asarray(d_out, dtype=np.float64)
-    d_out_padded *= layout.real[:, None]
-
-    d_qb = np.zeros_like(layout.qb)
-    d_kb = np.zeros_like(layout.kb)
-    d_vb = np.zeros_like(layout.vb)
-    d_mixed_k = np.zeros_like(mixed_k)
-    d_mixed_v = np.zeros_like(mixed_v)
-    for b in range(spec.num_blocks):
-        block_real = layout.real_blocks[b] > 0.0
-        if not block_real.any():
-            continue
-        cat_k = np.concatenate([layout.kb[b], mixed_k[b]], axis=0)
-        cat_v = np.concatenate([layout.vb[b], mixed_v[b]], axis=0)
-        valid = np.concatenate([block_real, mixed_real[b]])
-        weights = _masked_softmax(layout.qb[b] @ cat_k.T * scale, valid)
-        d_block = d_out_padded[b * size : (b + 1) * size]
-        d_weights = d_block @ cat_v.T
-        d_cat_v = weights.T @ d_block
-        d_logits = weights * (
-            d_weights - (weights * d_weights).sum(axis=1, keepdims=True)
-        )
-        d_qb[b] = d_logits @ cat_k * scale
-        d_cat_k = d_logits.T @ layout.qb[b] * scale
-        d_kb[b] += d_cat_k[:size]
-        d_mixed_k[b] = d_cat_k[size:]
-        d_vb[b] += d_cat_v[:size]
-        d_mixed_v[b] = d_cat_v[size:]
-
-    d_sorting = np.einsum("asd,bsd->ab", d_mixed_k, layout.kb)
-    d_sorting += np.einsum("asd,bsd->ab", d_mixed_v, layout.vb)
-    d_kb += np.einsum("ab,asd->bsd", sorting, d_mixed_k)
-    d_vb += np.einsum("ab,asd->bsd", sorting, d_mixed_v)
-
-    def unpad(blocked: np.ndarray) -> np.ndarray:
-        flat = blocked.reshape(spec.padded_len, dim) * layout.real[:, None]
-        return flat[: spec.seq_len]
-
-    return unpad(d_qb), unpad(d_kb), unpad(d_vb), d_sorting
+    qb, cat_k, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
+    scale = 1.0 / math.sqrt(spec.model_dim)
+    d_outb = _pad_blocks(np.asarray(d_out, dtype=np.float64), spec, n_real)
+    d_cat_v = weights.transpose(0, 2, 1) @ d_outb
+    d_logits = d_outb @ cat_v.transpose(0, 2, 1)
+    d_logits -= (weights * d_logits).sum(axis=2, keepdims=True)
+    d_logits *= weights
+    d_qb = d_logits @ cat_k
+    d_qb *= scale
+    d_cat_k = d_logits.transpose(0, 2, 1) @ qb
+    d_cat_k *= scale
+    d_kb, d_sorting = _pull_back_mix(d_cat_k, cat_k, sorting)
+    d_vb, d_sorting_v = _pull_back_mix(d_cat_v, cat_v, sorting)
+    d_sorting += d_sorting_v
+    return (
+        _unpad(d_qb, spec, n_real),
+        _unpad(d_kb, spec, n_real),
+        _unpad(d_vb, spec, n_real),
+        d_sorting,
+    )
 
 
 def mean_pool_blocks(
@@ -406,17 +405,11 @@ def mean_pool_blocks(
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (spec.seq_len, spec.model_dim):
         raise ValueError("keys must be (spec.seq_len, spec.model_dim)")
-    if n_real is None:
-        n_real = spec.seq_len
-    padded = np.zeros((spec.padded_len, spec.model_dim))
-    padded[: spec.seq_len] = k
-    real = (np.arange(spec.padded_len) < n_real).astype(np.float64)
-    padded *= real[:, None]
-    blocked = padded.reshape(spec.num_blocks, spec.block_size, spec.model_dim)
-    counts = real.reshape(spec.num_blocks, spec.block_size).sum(axis=1)
+    n_real = _resolve_n_real(spec, n_real)
+    counts = _real_blocks(spec, n_real).sum(axis=1)
     mask = counts > 0
     summaries = np.zeros((spec.num_blocks, spec.model_dim))
-    summaries[mask] = blocked.sum(axis=1)[mask] / counts[mask, None]
+    summaries[mask] = _pad_blocks(k, spec, n_real).sum(axis=1)[mask] / counts[mask, None]
     return summaries, mask
 
 
@@ -465,8 +458,7 @@ def sinkhorn_block_attention_backward(
     n_real: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_q, d_k, d_v, d_mixing) of sinkhorn_block_attention."""
-    if n_real is None:
-        n_real = spec.seq_len
+    n_real = _resolve_n_real(spec, n_real)
     sorting, summaries, mask = _embedded_sorting(k, mixing, spec, n_real)
     d_q, d_k, d_v, d_sorting = sinkhorn_attention_backward(
         q, k, v, spec, sorting, d_out, n_real
@@ -479,12 +471,10 @@ def sinkhorn_block_attention_backward(
         d_summaries_sub, d_mixing = sort_blocks_backward(
             summaries[indices], mixing, spec.sinkhorn_iterations, spec.temperature, d_sub
         )
-        real = (np.arange(spec.padded_len) < n_real).astype(np.float64)
-        counts = real.reshape(spec.num_blocks, spec.block_size).sum(axis=1)
-        d_pool = np.zeros((spec.num_blocks, spec.block_size, spec.model_dim))
-        for row, b in enumerate(indices):
-            spread = d_summaries_sub[row] / counts[b]
-            d_pool[b] = np.outer(real.reshape(spec.num_blocks, -1)[b], spread)
+        real = _real_blocks(spec, n_real)
+        d_summaries = np.zeros((spec.num_blocks, spec.model_dim))
+        d_summaries[indices] = d_summaries_sub / real[indices].sum(axis=1, keepdims=True)
+        d_pool = real[:, :, None] * d_summaries[:, None, :]
         d_k = d_k + d_pool.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
     return d_q, d_k, d_v, d_mixing
 
@@ -531,15 +521,3 @@ def gradient_check(
             scale = max(abs(numeric), abs(analytic), 1e-4)
             worst = max(worst, abs(numeric - analytic) / scale)
     return worst
-
-
-def save_matrix_json(path: str, matrix: np.ndarray) -> None:
-    """Write a matrix as a json array of row arrays (64-bit floats)."""
-    data = np.asarray(matrix, dtype=np.float64).tolist()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
-
-
-def load_matrix_json(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as handle:
-        return np.asarray(json.load(handle), dtype=np.float64)

@@ -8,7 +8,8 @@ and duration, so any output can be regenerated from its manifest alone;
 ``corrupt`` additionally writes the manifest next to its output file.
 
 Exit codes: 0 success, 1 usage error, 2 data error (malformed records
-under --strict, or misaligned evaluation files), 3 invariant failure.
+under --strict, or evaluation files that are misaligned or cannot be
+scored), 3 invariant failure.
 
 The default seed is 0, overridable by the DIALOGKIT_SEED environment
 variable and then by --seed.
@@ -159,15 +160,23 @@ def _corrupt_one(task: tuple) -> list[str]:
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    cfg = NoiseConfig(
-        window_fraction=args.window_fraction,
-        max_window_tokens=args.max_window_tokens,
-        speaker_mask_prob=args.speaker_mask_prob,
-        infill_rate=args.infill_rate,
-        poisson_lambda=args.poisson_lambda,
-        min_merge_turns=args.min_merge_turns,
-        global_seed=args.seed,
-    )
+    try:
+        if args.examples_per_dialogue < 1:
+            raise ValueError("--examples-per-dialogue must be at least 1")
+        if args.workers < 1:
+            raise ValueError("--workers must be at least 1")
+        cfg = NoiseConfig(
+            window_fraction=args.window_fraction,
+            max_window_tokens=args.max_window_tokens,
+            speaker_mask_prob=args.speaker_mask_prob,
+            infill_rate=args.infill_rate,
+            poisson_lambda=args.poisson_lambda,
+            min_merge_turns=args.min_merge_turns,
+            global_seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"corrupt: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
     dialogues = ingest(
@@ -220,6 +229,8 @@ def _load_labeled_segmentations(path: str) -> dict[str, Segmentation]:
             record = json.loads(line)
             seg = labels_to_segmentation(record["labels"])
             identifier = record["id"]
+            if not isinstance(identifier, str):
+                raise TypeError(f"id must be a string, not {identifier!r}")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise RecordError(line_no, f"bad segmentation record: {exc}")
         if identifier in segmentations:
@@ -245,8 +256,12 @@ def cmd_eval_seg(args: argparse.Namespace) -> int:
     pk_values, wd_values = [], []
     for identifier in references:
         reference, hypothesis = references[identifier], hypotheses[identifier]
-        score_pk = pk(reference, hypothesis, args.k)
-        score_wd = windiff(reference, hypothesis, args.k)
+        try:
+            score_pk = pk(reference, hypothesis, args.k)
+            score_wd = windiff(reference, hypothesis, args.k)
+        except ValueError as exc:
+            print(f"eval-seg: id {identifier!r}: {exc}", file=sys.stderr)
+            return EXIT_DATA
         pk_values.append(score_pk)
         wd_values.append(score_wd)
         rows.append({"id": identifier, "pk": score_pk, "windiff": score_wd})

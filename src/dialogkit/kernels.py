@@ -1,30 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The loop-style kernels compile with ``numba.njit`` when numba imports
-cleanly; setting the environment variable ``DIALOGKIT_NO_NUMBA`` (to any
-value) forces the vectorized numpy implementations instead. Both paths are
-importable directly for benchmarking; the public names dispatch on the flag
-once at import time.
-"""
+"""Numeric kernels behind the ROUGE-L and Pk/WinDiff metrics, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = not os.environ.get("DIALOGKIT_NO_NUMBA")
-
-HAS_NUMBA = False
-if USE_NUMBA:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        pass
-
-USE_NUMBA = USE_NUMBA and HAS_NUMBA
+# No compiled path exists; the constant is kept because benchmark runs
+# record it in their environment stamp.
+USE_NUMBA = False
 
 
 def _encode_pair(a: list[str], b: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -39,59 +21,11 @@ def _encode_pair(a: list[str], b: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _lcs_table_loops(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    n, m = len(xs), len(ys)
-    table = np.zeros((n + 1, m + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if xs[i - 1] == ys[j - 1]:
-                table[i, j] = table[i - 1, j - 1] + 1
-            elif table[i - 1, j] >= table[i, j - 1]:
-                table[i, j] = table[i - 1, j]
-            else:
-                table[i, j] = table[i, j - 1]
-    return table
-
-
-def _lcs_length_loops(xs: np.ndarray, ys: np.ndarray) -> int:
-    n, m = len(xs), len(ys)
-    prev = np.zeros(m + 1, dtype=np.int64)
-    cur = np.zeros(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if xs[i - 1] == ys[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            elif prev[j] >= cur[j - 1]:
-                cur[j] = prev[j]
-            else:
-                cur[j] = cur[j - 1]
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-def _window_counts_loops(labels: np.ndarray, k: int) -> np.ndarray:
-    n = len(labels)
-    out = np.zeros(n - k + 1, dtype=np.int64)
-    running = 0
-    for j in range(k):
-        running += labels[j]
-    out[0] = running
-    for i in range(1, n - k + 1):
-        running += labels[i + k - 1] - labels[i - 1]
-        out[i] = running
-    return out
-
-
-if HAS_NUMBA:
-    _lcs_table_numba = njit(cache=True)(_lcs_table_loops)
-    _lcs_length_numba = njit(cache=True)(_lcs_length_loops)
-    _window_counts_numba = njit(cache=True)(_window_counts_loops)
-
-
-def _lcs_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    n, m = len(xs), len(ys)
-    table = np.zeros((n + 1, m + 1), dtype=np.int64)
-    for i in range(1, n + 1):
+def lcs_table(a: list[str], b: list[str]) -> np.ndarray:
+    """Full (len(a)+1, len(b)+1) dynamic-programming table of LCS lengths."""
+    xs, ys = _encode_pair(a, b)
+    table = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int64)
+    for i in range(1, len(xs) + 1):
         eq = (ys == xs[i - 1]).astype(np.int64)
         prev = table[i - 1]
         cand = np.maximum(prev[1:], prev[:-1] + eq)
@@ -99,39 +33,17 @@ def _lcs_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return table
 
 
-def _lcs_length_numpy(xs: np.ndarray, ys: np.ndarray) -> int:
-    if len(xs) == 0 or len(ys) == 0:
-        return 0
-    prev = np.zeros(len(ys) + 1, dtype=np.int64)
-    for i in range(len(xs)):
-        eq = (ys == xs[i]).astype(np.int64)
-        cand = np.maximum(prev[1:], prev[:-1] + eq)
-        row = np.maximum.accumulate(cand)
-        prev[1:] = row
-    return int(prev[-1])
-
-
-def _window_counts_numpy(labels: np.ndarray, k: int) -> np.ndarray:
-    padded = np.concatenate([[0], np.cumsum(labels, dtype=np.int64)])
-    return padded[k:] - padded[: len(labels) - k + 1]
-
-
-def lcs_table(a: list[str], b: list[str]) -> np.ndarray:
-    """Full (len(a)+1, len(b)+1) dynamic-programming table of LCS lengths."""
-    xs, ys = _encode_pair(a, b)
-    if USE_NUMBA:
-        return _lcs_table_numba(xs, ys)
-    return _lcs_table_numpy(xs, ys)
-
-
 def lcs_length(a: list[str], b: list[str]) -> int:
     """Length of the longest common subsequence of two token lists."""
     if not a or not b:
         return 0
     xs, ys = _encode_pair(a, b)
-    if USE_NUMBA:
-        return int(_lcs_length_numba(xs, ys))
-    return _lcs_length_numpy(xs, ys)
+    prev = np.zeros(len(ys) + 1, dtype=np.int64)
+    for i in range(len(xs)):
+        eq = (ys == xs[i]).astype(np.int64)
+        cand = np.maximum(prev[1:], prev[:-1] + eq)
+        prev[1:] = np.maximum.accumulate(cand)
+    return int(prev[-1])
 
 
 def window_counts(labels: np.ndarray, k: int) -> np.ndarray:
@@ -139,6 +51,5 @@ def window_counts(labels: np.ndarray, k: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if not 0 < k <= len(labels):
         raise ValueError("window size must be in [1, len(labels)]")
-    if USE_NUMBA:
-        return _window_counts_numba(labels, k)
-    return _window_counts_numpy(labels, k)
+    padded = np.concatenate([[0], np.cumsum(labels, dtype=np.int64)])
+    return padded[k:] - padded[: len(labels) - k + 1]

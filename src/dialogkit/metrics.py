@@ -63,10 +63,13 @@ class Segmentation:
 def labels_to_segmentation(labels: Sequence[int]) -> Segmentation:
     """Binary per-turn labels (1 = segment end) to a Segmentation.
 
-    A label on the final turn is redundant and dropped.
+    A label on the final turn is redundant and dropped. Labels other than
+    0 and 1 raise ValueError.
     """
     if not labels:
         raise ValueError("labels must be non-empty")
+    if not set(labels) <= {0, 1}:
+        raise ValueError("labels must be 0 or 1")
     boundaries = tuple(
         i for i, label in enumerate(labels[:-1]) if label
     )
@@ -92,11 +95,13 @@ def _paired_window_counts(
     reference: Segmentation, hypothesis: Segmentation, k: int | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     if reference.turn_count != hypothesis.turn_count:
-        raise ValueError("segmentations must cover the same turn count")
+        raise ValueError(
+            f"turn counts differ: {reference.turn_count} vs {hypothesis.turn_count}"
+        )
     if k is None:
         k = default_window_size(reference)
     if not 0 < k < reference.turn_count:
-        raise ValueError("window size must satisfy 0 < k < turn_count")
+        raise ValueError(f"window size needs 0 < k < {reference.turn_count} turns, got {k}")
     slots = reference.turn_count - 1
 
     def slot_labels(seg: Segmentation) -> np.ndarray:

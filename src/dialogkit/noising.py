@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     MASK,
@@ -487,31 +487,3 @@ def replay_window_noise(turns: Sequence[Turn], trace: dict) -> list[Turn]:
     infill = trace["infill"]
     replayed = _apply_infill(replayed, infill["spans"], infill["insertions"])
     return [replayed[j] for j in trace["permutation"]]
-
-
-class CorruptionError(RuntimeError):
-    """Raised when an example cannot be built for a dialogue."""
-
-    def __init__(self, dialogue_id: str, cause: Exception):
-        self.dialogue_id = dialogue_id
-        self.cause = cause
-        super().__init__(f"dialogue {dialogue_id!r}: {cause}")
-
-
-def corrupt_corpus(
-    dialogues: Iterable[Dialogue], cfg: NoiseConfig, examples_per_dialogue: int = 1
-) -> Iterator[DenoisingExample]:
-    """Lazily yield examples_per_dialogue examples per dialogue.
-
-    Example (dialogue, index) pairs are seeded independently, so output is a
-    pure function of (dialogue id, index, config) and never of iteration
-    order or parallel scheduling.
-    """
-    if examples_per_dialogue < 1:
-        raise ValueError("examples_per_dialogue must be positive")
-    for dialogue in dialogues:
-        for index in range(examples_per_dialogue):
-            try:
-                yield build_example(dialogue, cfg, example_index=index)
-            except Exception as exc:  # pragma: no cover - defensive surface
-                raise CorruptionError(dialogue.id, exc) from exc

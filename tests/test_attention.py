@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialogkit.attention import (
     AttentionSpec,
@@ -13,8 +15,6 @@ from dialogkit.attention import (
     full_attention_backward,
     gradient_check,
     hybrid_schedule,
-    load_matrix_json,
-    save_matrix_json,
     sinkhorn_attention,
     sinkhorn_attention_backward,
     sinkhorn_block_attention,
@@ -355,9 +355,93 @@ def test_gradient_check_validates_epsilon():
         )
 
 
-def test_matrix_json_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    matrix = rng.standard_normal((5, 3))
-    path = tmp_path / "matrix.json"
-    save_matrix_json(str(path), matrix)
-    np.testing.assert_array_equal(load_matrix_json(str(path)), matrix)
+def _sparse_oracle(q, k, v, sorting, block_size, n_real):
+    """Independent straight-line sinkhorn_attention: every real query row
+    attends over its own block's keys plus the sorting-mixed block's keys,
+    each column kept only where a real position contributes to it."""
+    seq_len, dim = q.shape
+    blocks = len(sorting)
+
+    def row(m, position):
+        return m[position] if position < n_real else np.zeros(dim)
+
+    out = np.zeros((seq_len, dim))
+    for query in range(n_real):
+        b = query // block_size
+        keys, values = [], []
+        for s in range(block_size):
+            own = b * block_size + s
+            if own < n_real:
+                keys.append(k[own])
+                values.append(v[own])
+        for s in range(block_size):
+            sources = [c * block_size + s for c in range(blocks)]
+            if any(sorting[b, c] > 0 and p < n_real for c, p in enumerate(sources)):
+                keys.append(sum(sorting[b, c] * row(k, p) for c, p in enumerate(sources)))
+                values.append(sum(sorting[b, c] * row(v, p) for c, p in enumerate(sources)))
+        logits = np.array([q[query] @ key for key in keys]) / math.sqrt(dim)
+        weights = np.exp(logits - logits.max())
+        weights /= weights.sum()
+        out[query] = sum(w * value for w, value in zip(weights, values))
+    return out
+
+
+@st.composite
+def _sparse_cases(draw, positive_sorting=False, padded=False):
+    seq_len = draw(st.integers(1, 12))
+    block = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 3))
+    n_real = draw(st.integers(0, seq_len - 1 if padded else seq_len))
+    if positive_sorting:
+        kind = draw(st.sampled_from(["sinkhorn", "positive"]))
+    else:
+        kind = draw(st.sampled_from(["identity", "sinkhorn", "nonneg"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = AttentionSpec(seq_len=seq_len, model_dim=dim, block_size=block)
+    blocks = spec.num_blocks
+    if kind == "identity":
+        sorting = np.eye(blocks)
+    elif kind == "sinkhorn":
+        sorting = sinkhorn_normalize(rng.standard_normal((blocks, blocks)), 4)
+    elif kind == "positive":
+        sorting = rng.uniform(0.1, 1.0, (blocks, blocks))
+    else:
+        sorting = rng.uniform(0.0, 2.0, (blocks, blocks))
+        sorting[rng.random((blocks, blocks)) < 0.5] = 0.0
+    q, k, v = _random_qkv(rng, seq_len, dim)
+    return spec, q, k, v, sorting, n_real
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_cases())
+# nothing real; and three trailing all-pad blocks that mix in real keys
+@example((AttentionSpec(7, 2, 3), *np.ones((3, 7, 2)), np.eye(3), 0))
+@example((AttentionSpec(9, 2, 2), *np.arange(54.0).reshape(3, 9, 2) / 50,
+          np.full((5, 5), 0.2), 3))
+def test_sinkhorn_attention_matches_per_block_oracle(case):
+    spec, q, k, v, sorting, n_real = case
+    out = sinkhorn_attention(q, k, v, spec, sorting, n_real)
+    assert np.all(np.isfinite(out))
+    assert np.all(out[n_real:] == 0.0)
+    np.testing.assert_allclose(
+        out, _sparse_oracle(q, k, v, sorting, spec.block_size, n_real), rtol=1e-9, atol=1e-12
+    )
+    # blocks with no valid column at all must not leak NaN into cotangents
+    grads = sinkhorn_attention_backward(q, k, v, spec, sorting, np.ones_like(q), n_real)
+    assert all(np.all(np.isfinite(g)) for g in grads)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sparse_cases(positive_sorting=True, padded=True), st.integers(0, 2**32 - 1))
+def test_gradient_sinkhorn_attention_with_padding(case, seed):
+    spec, q, k, v, sorting, n_real = case
+    weights = np.random.default_rng(seed).standard_normal(q.shape)
+    grads = sinkhorn_attention_backward(q, k, v, spec, sorting, weights, n_real)
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    error = gradient_check(
+        lambda a, b, c, s: sinkhorn_attention(a, b, c, spec, s, n_real),
+        lambda a, b, c, s, d: sinkhorn_attention_backward(a, b, c, spec, s, d, n_real),
+        [q, k, v, sorting],
+        weights=weights,
+    )
+    assert error < 1e-3

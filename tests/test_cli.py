@@ -173,6 +173,22 @@ def test_corrupt_strict_on_bad_corpus(tmp_path, capsys):
     assert manifests[0]["records"] == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--examples-per-dialogue", "0"], "--examples-per-dialogue"),
+        (["--workers", "0"], "--workers"),
+        (["--infill-rate", "2"], "infill_rate"),
+    ],
+)
+def test_corrupt_bad_argument_is_usage_error(tmp_path, corpus_path, capsys, flags, message):
+    out = tmp_path / "out.jsonl"
+    assert main(["corrupt", str(corpus_path), str(out), *flags]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("corrupt: ") and message in line
+    assert not out.exists()
+
+
 def _write_labels(path, rows):
     path.write_text(
         "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
@@ -233,6 +249,31 @@ def test_eval_seg_malformed_record(tmp_path, capsys):
     ref.write_text('{"id": "a"}\n')
     assert main(["eval-seg", str(ref), str(ref)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "record, hypothesis_labels, flags, message",
+    [
+        pytest.param({"id": "a", "labels": [0, 1, 0, 1]}, [0, 1, 1], [], "'a'", id="turn-counts"),
+        pytest.param({"id": "a", "labels": [1]}, None, [], "'a'", id="single-turn"),
+        pytest.param({"id": "a", "labels": [0, 1, 0, 1]}, None, ["--k", "4"], "'a'", id="k-too-large"),
+        pytest.param({"id": 7, "labels": [0, 1]}, None, [], "line 1", id="int-id"),
+        pytest.param({"id": ["a"], "labels": [0, 1]}, None, [], "line 1", id="list-id"),
+        pytest.param({"id": "a", "labels": ["0", "0", "1", "0"]}, None, [], "line 1", id="str-labels"),
+    ],
+)
+def test_eval_seg_unscorable_record_is_data_error(
+    tmp_path, capsys, record, hypothesis_labels, flags, message
+):
+    ref = tmp_path / "ref.jsonl"
+    hyp = tmp_path / "hyp.jsonl"
+    _write_labels(ref, [record])
+    _write_labels(hyp, [{**record, "labels": hypothesis_labels or record["labels"]}])
+    assert main(["eval-seg", str(ref), str(hyp), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("eval-seg: ") and message in line
 
 
 def test_eval_rouge_identical_pair(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 from dialogkit import kernels
 
 
-def _classic_lcs(a: list[str], b: list[str]) -> int:
-    """Textbook quadratic LCS, written independently of the kernels."""
+def _classic_table(a: list[str], b: list[str]) -> list[list[int]]:
+    """Textbook quadratic LCS table, written independently of the kernels."""
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(1, len(a) + 1):
         for j in range(1, len(b) + 1):
@@ -17,7 +17,11 @@ def _classic_lcs(a: list[str], b: list[str]) -> int:
                 table[i][j] = table[i - 1][j - 1] + 1
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[len(a)][len(b)]
+    return table
+
+
+def _classic_lcs(a: list[str], b: list[str]) -> int:
+    return _classic_table(a, b)[len(a)][len(b)]
 
 
 def _random_tokens(rng: random.Random, max_len: int = 14, vocab: int = 6) -> list[str]:
@@ -49,20 +53,11 @@ def test_lcs_edge_cases():
     assert kernels.lcs_length(["a", "b"], ["a", "b"]) == 2
 
 
-def test_numba_and_numpy_paths_agree():
+def test_lcs_table_matches_classic_table():
     rng = random.Random(2)
     for _ in range(50):
         a, b = _random_tokens(rng), _random_tokens(rng)
-        xs, ys = kernels._encode_pair(a, b)
-        assert kernels._lcs_length_numpy(xs, ys) == _classic_lcs(a, b)
-        np.testing.assert_array_equal(
-            kernels._lcs_table_numpy(xs, ys), kernels._lcs_table_loops(xs, ys)
-        )
-        if kernels.HAS_NUMBA:
-            assert int(kernels._lcs_length_numba(xs, ys)) == _classic_lcs(a, b)
-            np.testing.assert_array_equal(
-                kernels._lcs_table_numba(xs, ys), kernels._lcs_table_loops(xs, ys)
-            )
+        np.testing.assert_array_equal(kernels.lcs_table(a, b), _classic_table(a, b))
 
 
 def test_window_counts_matches_naive_loop():
@@ -75,13 +70,6 @@ def test_window_counts_matches_naive_loop():
             [labels[i : i + k].sum() for i in range(n - k + 1)], dtype=np.int64
         )
         np.testing.assert_array_equal(kernels.window_counts(labels, k), expected)
-        np.testing.assert_array_equal(
-            kernels._window_counts_numpy(labels, k), expected
-        )
-        if kernels.HAS_NUMBA:
-            np.testing.assert_array_equal(
-                kernels._window_counts_numba(labels, k), expected
-            )
 
 
 def test_window_counts_validates_k():

@@ -14,7 +14,6 @@ from dialogkit.core import (
 from dialogkit.noising import (
     NoiseConfig,
     build_example,
-    corrupt_corpus,
     derive_seed,
     merge_turns,
     noise_speaker_mask,
@@ -433,13 +432,3 @@ def test_build_example_record_shape():
         "infill",
         "permutation",
     }
-
-
-def test_corrupt_corpus_yields_per_dialogue_examples():
-    dialogues = [_example_dialogue(), make_dialogue("d2", ("A", "Hello there."))]
-    examples = list(corrupt_corpus(dialogues, NoiseConfig(), examples_per_dialogue=3))
-    assert len(examples) == 6
-    assert [e.dialogue_id for e in examples[:3]] == ["ex-1"] * 3
-    assert [e.example_index for e in examples[:3]] == [0, 1, 2]
-    with pytest.raises(ValueError):
-        list(corrupt_corpus(dialogues, NoiseConfig(), examples_per_dialogue=0))
