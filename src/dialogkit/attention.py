@@ -490,7 +490,8 @@ def gradient_check(
 
     The scalar loss is sum(output), or sum(weights * output) when weights
     are given; backward receives the corresponding cotangent. Inputs are
-    perturbed in place entry by entry and restored.
+    perturbed in place entry by entry and restored. A non-finite numeric
+    or analytic entry scores ``inf``, so it fails every tolerance.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError("epsilon must be in [1e-6, 1e-3]")
@@ -518,6 +519,8 @@ def gradient_check(
             flat[index] = original
             numeric = (upper - lower) / (2.0 * epsilon)
             analytic = grad_flat[index]
+            if not (math.isfinite(numeric) and math.isfinite(analytic)):
+                return math.inf
             scale = max(abs(numeric), abs(analytic), 1e-4)
             worst = max(worst, abs(numeric - analytic) / scale)
     return worst

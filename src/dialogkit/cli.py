@@ -2,14 +2,20 @@
 
 Subcommands: ``stats`` (corpus statistics), ``corrupt`` (denoising example
 generation), ``eval-seg`` (Pk/WinDiff), ``eval-rouge`` (ROUGE-1/2/L), and
-``attn-check`` (attention invariant suite). Every run prints a one-line
-json manifest to stderr recording the full configuration, paths, counts,
-and duration, so any output can be regenerated from its manifest alone;
-``corrupt`` additionally writes the manifest next to its output file.
+``attn-check`` (attention invariant suite). Each command returns its rows
+and manifest fields to one runner, ``main``. A run that finishes prints its
+rows to stdout and then a one-line json manifest as the last stderr line,
+recording the configuration, paths, record and error counts and duration;
+``corrupt`` also writes that manifest next to its output. ``corrupt``
+output is all-or-nothing: it is written to a sibling temp file that
+replaces the output only when the run succeeds. A run that fails prints
+exactly one stderr line, ``<command>: <reason>``, writes no manifest and
+leaves any earlier output untouched.
 
-Exit codes: 0 success, 1 usage error, 2 data error (malformed records
-under --strict, or evaluation files that are misaligned or cannot be
-scored), 3 invariant failure.
+Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
+paths), 2 data error (malformed records under --strict, input that is not
+UTF-8, or evaluation files that are misaligned or cannot be scored),
+3 invariant failure.
 
 The default seed is 0, overridable by the DIALOGKIT_SEED environment
 variable and then by --seed.
@@ -24,7 +30,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,6 +78,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _Failure(Exception):
+    """Ends a run with exit code ``code`` and ``message`` as its one stderr line."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@dataclass
+class _Result:
+    """What a command hands the runner: manifest fields, stdout rows, exit code."""
+
+    config: dict
+    inputs: list[str]
+    records: int
+    errors: int = 0
+    rows: list[dict] = field(default_factory=list)
+    code: int = EXIT_OK
+
+
 def _default_seed() -> int:
     raw = os.environ.get(_SEED_ENV)
     if raw is None:
@@ -89,64 +115,56 @@ def _dump(record: dict, pretty: bool = False) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
-def _emit_manifest(
-    command: str,
-    config: dict,
-    inputs: list[str],
-    outputs: list[str],
-    records: int,
-    errors: int,
-    started: float,
-    sidecar_path: str | None = None,
-) -> None:
-    manifest = {
-        "tool": "dialogkit",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-        "records": records,
-        "errors": errors,
-        "duration_s": round(time.perf_counter() - started, 6),
-    }
-    line = json.dumps(manifest, sort_keys=True, ensure_ascii=False)
-    print(line, file=sys.stderr)
-    if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+def _configured(factory, **fields):
+    """Build a config object from flags; a value it rejects is a usage error."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, str(exc)) from exc
 
 
 def _read_lines(path: str):
-    with open(path, encoding="utf-8") as handle:
-        yield from handle
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError as exc:
+        raise RecordError(_first_undecodable_line(path), f"not valid utf-8 ({exc.reason})")
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _first_undecodable_line(path: str) -> int:
+    # Text mode decodes whole buffers, so the error does not say which line
+    # held the bad bytes; a newline byte never occurs inside a UTF-8 sequence.
+    line_no = 0
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line_no
+
+
+def _partial(path: str) -> str:
+    """The sibling temp file that stands in for ``path`` until a run succeeds."""
+    return f"{path}.{os.getpid()}.tmp"
+
+
+def cmd_stats(args: argparse.Namespace) -> _Result:
     accumulator = StatsAccumulator()
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
-    try:
-        for dialogue in ingest(
-            _read_lines(args.input), args.format, on_error=on_error, errors_out=errors
-        ):
-            accumulator.add(dialogue)
-    except RecordError as err:
-        print(f"stats: {err}", file=sys.stderr)
-        return EXIT_DATA
+    for dialogue in ingest(
+        _read_lines(args.input), args.format, on_error=on_error, errors_out=errors
+    ):
+        accumulator.add(dialogue)
     stats = accumulator.finalize()
-    print(_dump(stats.as_dict(), args.pretty))
-    _emit_manifest(
-        "stats",
+    return _Result(
         {"format": args.format, "strict": args.strict},
         [args.input],
-        [],
         stats.dialogue_count,
         len(errors),
-        started,
+        rows=[stats.as_dict()],
     )
-    return EXIT_OK
 
 
 def _corrupt_one(task: tuple) -> list[str]:
@@ -158,25 +176,21 @@ def _corrupt_one(task: tuple) -> list[str]:
     return lines
 
 
-def cmd_corrupt(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        if args.examples_per_dialogue < 1:
-            raise ValueError("--examples-per-dialogue must be at least 1")
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        cfg = NoiseConfig(
-            window_fraction=args.window_fraction,
-            max_window_tokens=args.max_window_tokens,
-            speaker_mask_prob=args.speaker_mask_prob,
-            infill_rate=args.infill_rate,
-            poisson_lambda=args.poisson_lambda,
-            min_merge_turns=args.min_merge_turns,
-            global_seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"corrupt: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_corrupt(args: argparse.Namespace) -> _Result:
+    if args.examples_per_dialogue < 1:
+        raise _Failure(EXIT_USAGE, "--examples-per-dialogue must be at least 1")
+    if args.workers < 1:
+        raise _Failure(EXIT_USAGE, "--workers must be at least 1")
+    cfg = _configured(
+        NoiseConfig,
+        window_fraction=args.window_fraction,
+        max_window_tokens=args.max_window_tokens,
+        speaker_mask_prob=args.speaker_mask_prob,
+        infill_rate=args.infill_rate,
+        poisson_lambda=args.poisson_lambda,
+        min_merge_turns=args.min_merge_turns,
+        global_seed=args.seed,
+    )
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
     dialogues = ingest(
@@ -184,22 +198,18 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     )
     tasks = ((d, cfg, args.examples_per_dialogue) for d in dialogues)
     records = 0
-    try:
-        with open(args.output, "w", encoding="utf-8") as out:
-            if args.workers > 1:
-                with multiprocessing.Pool(args.workers) as pool:
-                    for lines in pool.imap(_corrupt_one, tasks, chunksize=16):
-                        for line in lines:
-                            out.write(line + "\n")
-                            records += 1
-            else:
-                for task in tasks:
-                    for line in _corrupt_one(task):
+    with open(_partial(args.output), "w", encoding="utf-8") as out:
+        if args.workers > 1:
+            with multiprocessing.Pool(args.workers) as pool:
+                for lines in pool.imap(_corrupt_one, tasks, chunksize=16):
+                    for line in lines:
                         out.write(line + "\n")
                         records += 1
-    except RecordError as err:
-        print(f"corrupt: {err}", file=sys.stderr)
-        return EXIT_DATA
+        else:
+            for task in tasks:
+                for line in _corrupt_one(task):
+                    out.write(line + "\n")
+                    records += 1
     config = {
         "noise": asdict(cfg),
         "format": args.format,
@@ -207,17 +217,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
         "workers": args.workers,
         "strict": args.strict,
     }
-    _emit_manifest(
-        "corrupt",
-        config,
-        [args.input],
-        [args.output],
-        records,
-        len(errors),
-        started,
-        sidecar_path=args.output + ".manifest.json",
-    )
-    return EXIT_OK
+    return _Result(config, [args.input], records, len(errors))
 
 
 def _load_labeled_segmentations(path: str) -> dict[str, Segmentation]:
@@ -239,93 +239,68 @@ def _load_labeled_segmentations(path: str) -> dict[str, Segmentation]:
     return segmentations
 
 
-def cmd_eval_seg(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        references = _load_labeled_segmentations(args.reference)
-        hypotheses = _load_labeled_segmentations(args.hypothesis)
-    except RecordError as err:
-        print(f"eval-seg: {err}", file=sys.stderr)
-        return EXIT_DATA
-    if set(references) != set(hypotheses):
-        missing = sorted(set(references) ^ set(hypotheses))
-        print(f"eval-seg: id mismatch between files: {missing[:5]}", file=sys.stderr)
-        return EXIT_DATA
-
+def _segmentation_rows(triples, k: int | None, tag: dict) -> list[dict]:
+    """Score ``(id, reference, candidate)`` triples: one row per id, then the mean."""
     rows: list[dict] = []
     pk_values, wd_values = [], []
-    for identifier in references:
-        reference, hypothesis = references[identifier], hypotheses[identifier]
+    for identifier, reference, candidate in triples:
         try:
-            score_pk = pk(reference, hypothesis, args.k)
-            score_wd = windiff(reference, hypothesis, args.k)
+            score_pk = pk(reference, candidate, k)
+            score_wd = windiff(reference, candidate, k)
         except ValueError as exc:
-            print(f"eval-seg: id {identifier!r}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            raise _Failure(EXIT_DATA, f"id {identifier!r}: {exc}") from exc
         pk_values.append(score_pk)
         wd_values.append(score_wd)
-        rows.append({"id": identifier, "pk": score_pk, "windiff": score_wd})
+        rows.append({"id": identifier, **tag, "pk": score_pk, "windiff": score_wd})
     rows.append(
         {
             "mean": True,
+            **tag,
             "pk": sum(pk_values) / len(pk_values) if pk_values else 0.0,
             "windiff": sum(wd_values) / len(wd_values) if wd_values else 0.0,
         }
     )
+    return rows
 
+
+def _random_baseline(reference: Segmentation, rng: random.Random) -> Segmentation:
+    slots = reference.turn_count - 1
+    density = len(reference.boundaries) / slots if slots else 0.1
+    return baseline_random(reference.turn_count, density, rng)
+
+
+def cmd_eval_seg(args: argparse.Namespace) -> _Result:
+    references = _load_labeled_segmentations(args.reference)
+    hypotheses = _load_labeled_segmentations(args.hypothesis)
+    if set(references) != set(hypotheses):
+        missing = sorted(set(references) ^ set(hypotheses))
+        raise _Failure(EXIT_DATA, f"id mismatch between files: {missing[:5]}")
+    pairs = references.items()
+    rows = _segmentation_rows(((i, r, hypotheses[i]) for i, r in pairs), args.k, {})
     if args.baselines:
         rng = random.Random(args.seed)
-        for name in ("random", "even"):
-            baseline_pk, baseline_wd = [], []
-            for identifier in references:
-                reference = references[identifier]
-                if name == "random":
-                    slots = reference.turn_count - 1
-                    density = len(reference.boundaries) / slots if slots else 0.1
-                    candidate = baseline_random(reference.turn_count, density, rng)
-                else:
-                    candidate = baseline_even(
-                        reference.turn_count, len(reference.boundaries) + 1
-                    )
-                score_pk = pk(reference, candidate, args.k)
-                score_wd = windiff(reference, candidate, args.k)
-                baseline_pk.append(score_pk)
-                baseline_wd.append(score_wd)
-                rows.append(
-                    {
-                        "id": identifier,
-                        "baseline": name,
-                        "pk": score_pk,
-                        "windiff": score_wd,
-                    }
-                )
-            rows.append(
-                {
-                    "mean": True,
-                    "baseline": name,
-                    "pk": sum(baseline_pk) / len(baseline_pk) if baseline_pk else 0.0,
-                    "windiff": sum(baseline_wd) / len(baseline_wd) if baseline_wd else 0.0,
-                }
-            )
-
-    for row in rows:
-        print(_dump(row, args.pretty))
-    _emit_manifest(
-        "eval-seg",
+        rows += _segmentation_rows(
+            ((i, r, _random_baseline(r, rng)) for i, r in pairs),
+            args.k,
+            {"baseline": "random"},
+        )
+        rows += _segmentation_rows(
+            ((i, r, baseline_even(r.turn_count, len(r.boundaries) + 1)) for i, r in pairs),
+            args.k,
+            {"baseline": "even"},
+        )
+    return _Result(
         {"k": args.k, "baselines": args.baselines, "seed": args.seed},
         [args.reference, args.hypothesis],
-        [],
         len(references),
-        0,
-        started,
+        rows=rows,
     )
-    return EXIT_OK
 
 
-def cmd_eval_rouge(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_eval_rouge(args: argparse.Namespace) -> _Result:
     rows: list[dict] = []
     r1_scores, r2_scores, rl_scores = [], [], []
+    seen: set[str] = set()
     errors = 0
     for line_no, line in enumerate(_read_lines(args.pairs), start=1):
         if not line.strip():
@@ -335,14 +310,16 @@ def cmd_eval_rouge(args: argparse.Namespace) -> int:
             identifier = record["id"]
             candidate = record["candidate"]
             reference = record["reference"]
-            if not isinstance(candidate, str) or not isinstance(reference, str):
-                raise TypeError("candidate and reference must be strings")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            if not all(isinstance(x, str) for x in (identifier, candidate, reference)):
+                raise TypeError("id, candidate and reference must be strings")
+            if identifier in seen:
+                raise ValueError(f"duplicate id {identifier!r}")
+        except (KeyError, TypeError, ValueError) as exc:
             if args.strict:
-                print(f"eval-rouge: line {line_no}: {exc}", file=sys.stderr)
-                return EXIT_DATA
+                raise RecordError(line_no, str(exc)) from exc
             errors += 1
             continue
+        seen.add(identifier)
         r1 = rouge_n(candidate, reference, 1)
         r2 = rouge_n(candidate, reference, 2)
         rl = rouge_l(candidate, reference, sentence_split=args.rouge_l_split)
@@ -365,22 +342,12 @@ def cmd_eval_rouge(args: argparse.Namespace) -> int:
             "rouge_l": mean_scores(rl_scores).as_dict(),
         }
     )
-    for row in rows:
-        print(_dump(row, args.pretty))
-    _emit_manifest(
-        "eval-rouge",
-        {
-            "rouge_l_split": args.rouge_l_split,
-            "strict": args.strict,
-            "preprocessing": "lowercase, edge punctuation stripped, no stemming",
-        },
-        [args.pairs],
-        [],
-        len(r1_scores),
-        errors,
-        started,
-    )
-    return EXIT_OK
+    config = {
+        "rouge_l_split": args.rouge_l_split,
+        "strict": args.strict,
+        "preprocessing": "lowercase, edge punctuation stripped, no stemming",
+    }
+    return _Result(config, [args.pairs], len(r1_scores), errors, rows=rows)
 
 
 def _block_local_reference(
@@ -514,44 +481,30 @@ def _attention_checks(spec: AttentionSpec, rng: np.random.Generator) -> list[dic
     return checks
 
 
-def cmd_attn_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        spec = AttentionSpec(
-            seq_len=args.seq_len,
-            model_dim=args.model_dim,
-            block_size=args.block_size,
-            sinkhorn_iterations=args.sinkhorn_iterations,
-            temperature=args.temperature,
-        )
-    except ValueError as exc:
-        print(f"attn-check: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_attn_check(args: argparse.Namespace) -> _Result:
+    spec = _configured(
+        AttentionSpec,
+        seq_len=args.seq_len,
+        model_dim=args.model_dim,
+        block_size=args.block_size,
+        sinkhorn_iterations=args.sinkhorn_iterations,
+        temperature=args.temperature,
+    )
     rng = np.random.default_rng(args.seed)
     checks = _attention_checks(spec, rng)
-    for check in checks:
-        print(_dump(check, args.pretty))
     failed = [c["check"] for c in checks if not c["pass"]]
-    _emit_manifest(
-        "attn-check",
-        {
-            "seq_len": spec.seq_len,
-            "model_dim": spec.model_dim,
-            "block_size": spec.block_size,
-            "sinkhorn_iterations": spec.sinkhorn_iterations,
-            "temperature": spec.temperature,
-            "seed": args.seed,
-        },
-        [],
-        [],
-        len(checks),
-        len(failed),
-        started,
-    )
     if failed:
         print(f"attn-check: failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    config = {
+        "seq_len": spec.seq_len,
+        "model_dim": spec.model_dim,
+        "block_size": spec.block_size,
+        "sinkhorn_iterations": spec.sinkhorn_iterations,
+        "temperature": spec.temperature,
+        "seed": args.seed,
+    }
+    code = EXIT_INVARIANT if failed else EXIT_OK
+    return _Result(config, [], len(checks), len(failed), rows=checks, code=code)
 
 
 def build_parser() -> _Parser:
@@ -612,15 +565,51 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: the only place that times a run, maps its
+    failures to exit codes, prints its rows and emits its manifest."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "seed") and args.seed is None:
         args.seed = _default_seed()
+    output = getattr(args, "output", None)
+    sidecar = None if output is None else output + ".manifest.json"
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except OSError as exc:
-        print(f"dialogkit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        for path in (output, sidecar):
+            if path is not None and os.path.isdir(path):
+                raise _Failure(EXIT_USAGE, f"{path}: is a directory")
+        result = args.func(args)
+        for row in result.rows:
+            print(_dump(row, args.pretty))
+        manifest = _dump(
+            {
+                "tool": "dialogkit",
+                "version": __version__,
+                "command": args.command,
+                "config": result.config,
+                "inputs": result.inputs,
+                "outputs": [] if output is None else [output],
+                "records": result.records,
+                "errors": result.errors,
+                "duration_s": round(time.perf_counter() - started, 6),
+            }
+        )
+        if output is not None:
+            with open(_partial(sidecar), "w", encoding="utf-8") as handle:
+                handle.write(manifest + "\n")
+            os.replace(_partial(output), output)
+            os.replace(_partial(sidecar), sidecar)
+    except (_Failure, RecordError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        if isinstance(exc, _Failure):
+            return exc.code
+        return EXIT_DATA if isinstance(exc, RecordError) else EXIT_USAGE
+    finally:
+        for path in (output, sidecar):
+            if path is not None and os.path.exists(_partial(path)):
+                os.remove(_partial(path))
+    print(manifest, file=sys.stderr)
+    return result.code
 
 
 if __name__ == "__main__":

@@ -110,10 +110,13 @@ def serialize_dialogue(turns: Sequence[Turn]) -> str:
 
 
 def parse_turn_line(line: str) -> Turn:
-    """Inverse of serialize_turn for one line.
+    """Parse one line written by serialize_turn back into a turn.
 
     The first ``": "`` separates speaker from utterance. A line without it,
     or whose head would be an illegal speaker name, is a speakerless turn.
+    This is not a full inverse: a speakerless turn whose text starts with
+    ``Word: `` (say ``Note: call back``) comes back with speaker ``Word``,
+    because serialize_turn writes it without a marker.
     """
     stripped = line.strip()
     if not stripped:

@@ -348,6 +348,18 @@ def test_gradient_block_attention_with_padding():
     assert error < 1e-3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gradient_check_scores_non_finite_gradients_as_inf(bad):
+    rng = np.random.default_rng(15)
+    q, k, v = _random_qkv(rng, 4, 2)
+
+    def broken_backward(*args):
+        return [np.full_like(g, bad) for g in full_attention_backward(*args)]
+
+    error = gradient_check(full_attention, broken_backward, [q, k, v])
+    assert error == math.inf
+
+
 def test_gradient_check_validates_epsilon():
     with pytest.raises(ValueError):
         gradient_check(

@@ -165,12 +165,34 @@ def test_corrupt_strict_on_bad_corpus(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "turns": [{"utterance": "x."}]}\n{"broken\n')
     out = tmp_path / "out.jsonl"
+    sidecar = tmp_path / "out.jsonl.manifest.json"
     assert main(["corrupt", str(path), str(out), "--strict"]) == 2
-    capsys.readouterr()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("corrupt: line 2")
+    assert not out.exists() and not sidecar.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    out.write_bytes(b"earlier output\n")
+    assert main(["corrupt", str(path), str(out), "--strict"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out.jsonl"]
+
     assert main(["corrupt", str(path), str(out)]) == 0
     _, manifests = _stdout_rows(capsys)
     assert manifests[0]["errors"] == 1
     assert manifests[0]["records"] == 1
+
+
+@pytest.mark.parametrize("directory", ["out.jsonl", "out.jsonl.manifest.json"])
+def test_corrupt_target_is_a_directory(tmp_path, corpus_path, capsys, directory):
+    (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["corrupt", str(corpus_path), str(tmp_path / "out.jsonl")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"corrupt: {tmp_path / directory}: is a directory"
+    assert sorted(tmp_path.iterdir()) == before
+    assert list((tmp_path / directory).iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -187,6 +209,30 @@ def test_corrupt_bad_argument_is_usage_error(tmp_path, corpus_path, capsys, flag
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("corrupt: ") and message in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["stats", "{input}"],
+        ["corrupt", "{input}", "{output}"],
+        ["eval-seg", "{input}", "{input}"],
+        ["eval-rouge", "{input}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
+    # More blank lines than one read buffer holds, so the bad bytes are
+    # decoded after earlier lines have already been handed out.
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b"\n" * 10000 + "caf\u00e9\n".encode("latin-1") + b"\n")
+    argv = [part.format(input=path, output=tmp_path / "out.jsonl") for part in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"{command[0]}: line 10001: not valid utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.jsonl"]
 
 
 def _write_labels(path, rows):
@@ -332,6 +378,41 @@ def test_eval_rouge_malformed_pair_policy(tmp_path, capsys):
     assert manifests[0]["errors"] == 1
     assert main(["eval-rouge", str(pairs), "--strict"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "bad_pair",
+    [
+        pytest.param({"id": "p", "candidate": "b", "reference": "b"}, id="duplicate-id"),
+        pytest.param({"id": ["x"], "candidate": "b", "reference": "b"}, id="list-id"),
+        pytest.param({"id": 7, "candidate": "b", "reference": "b"}, id="int-id"),
+    ],
+)
+def test_eval_rouge_bad_id_is_malformed_pair(tmp_path, capsys, bad_pair):
+    pairs = tmp_path / "pairs.jsonl"
+    good = {"id": "p", "candidate": "a", "reference": "a"}
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps(bad_pair) + "\n")
+    assert main(["eval-rouge", str(pairs)]) == 0
+    rows, manifests = _stdout_rows(capsys)
+    assert [row.get("id") for row in rows] == ["p", None]
+    assert manifests[0]["records"] == 1 and manifests[0]["errors"] == 1
+    assert main(["eval-rouge", str(pairs), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("eval-rouge: line 2: ")
+
+
+def test_attn_check_failure_exits_3_with_manifest_last(monkeypatch, capsys):
+    failing = {"check": "broken", "value": 1.0, "tolerance": 0.0, "pass": False}
+    monkeypatch.setattr("dialogkit.cli._attention_checks", lambda spec, rng: [failing])
+    assert main(["attn-check"]) == 3
+    captured = capsys.readouterr()
+    assert [json.loads(line) for line in captured.out.splitlines()] == [failing]
+    failed_line, manifest_line = captured.err.splitlines()
+    assert failed_line == "attn-check: failed: broken"
+    manifest = json.loads(manifest_line)
+    assert manifest["records"] == 1 and manifest["errors"] == 1
 
 
 def test_attn_check_defaults_pass(capsys):

@@ -119,6 +119,14 @@ def test_parse_turn_line_speakerless_variants():
     assert turn.utterance == "odd:"
 
 
+def test_parse_turn_line_reads_a_word_colon_prefix_as_a_speaker():
+    # The documented limit of the round trip: the serialized form of this
+    # speakerless turn is indistinguishable from a turn spoken by "Note".
+    line = serialize_turn(Turn(None, ("Note: call back.",)))
+    assert line == "Note: call back."
+    assert parse_turn_line(line) == Turn("Note", ("call back.",))
+
+
 def test_parse_turn_line_rejects_blank():
     with pytest.raises(ValueError):
         parse_turn_line("   ")
