@@ -14,7 +14,9 @@ returns input cotangents; :func:`gradient_check` compares any such pair
 against central finite differences. No autograd framework is involved,
 which keeps the kernels auditable and the derivative tests honest. The
 sparse layer's forward and backward share one batched core that handles
-every block at once.
+every block at once. Full attention runs in query chunks: its forward and
+backward never hold more than a few chunk-by-L arrays, so memory is
+O(L·chunk) rather than O(L²).
 
 Sorting matrices are plain float arrays. After ``iterations`` Sinkhorn
 passes plus one closing row pass, every row sums to 1 within 1e-6 and
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,29 +100,12 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
 
 
-def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    return np.exp(a - _logsumexp(a, axis))
-
-
-def _sinkhorn_log_passes(
+def _sinkhorn_tape(
     logits: np.ndarray, iterations: int, temperature: float
-) -> tuple[np.ndarray, list[tuple[np.ndarray, int]]]:
-    """Run the normalization in log space, recording (input, axis) per pass
-    so the backward sweep can replay them in reverse."""
-    a = logits / temperature
-    tape: list[tuple[np.ndarray, int]] = []
-    for _ in range(iterations):
-        for axis in (1, 0):
-            tape.append((a, axis))
-            a = a - _logsumexp(a, axis)
-    tape.append((a, 1))
-    a = a - _logsumexp(a, 1)
-    return a, tape
-
-
-def _check_sinkhorn_args(
-    logits: np.ndarray, iterations: int, temperature: float
-) -> np.ndarray:
+) -> list[tuple[np.ndarray, int]]:
+    """Check the arguments, then run the normalization in log space,
+    recording (output, axis) per pass so the backward sweep can replay them
+    in reverse. The last output is the log of the result."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise ValueError("logits must be a square matrix")
@@ -130,7 +115,28 @@ def _check_sinkhorn_args(
         raise ValueError("iterations must be at least 1")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return logits
+    a = logits / temperature
+    tape: list[tuple[np.ndarray, int]] = []
+    for axis in (1, 0) * iterations + (1,):
+        a = a - _logsumexp(a, axis)
+        tape.append((a, axis))
+    return tape
+
+
+def _sinkhorn_pullback(
+    tape: list[tuple[np.ndarray, int]], temperature: float, d_out: np.ndarray
+) -> np.ndarray:
+    """Cotangent of the logits behind a pass tape, given the cotangent of
+    exp(last output).
+
+    Subtracting a log-sum-exp along an axis pulls back as d_in = d_out -
+    softmax(in) * sum(d_out) along that axis, and softmax(in) is exp of the
+    pass's own output, so no log-sum-exp is computed again.
+    """
+    grad = np.asarray(d_out, dtype=np.float64) * np.exp(tape[-1][0])
+    for output, axis in reversed(tape):
+        grad = grad - np.exp(output) * grad.sum(axis=axis, keepdims=True)
+    return grad / temperature
 
 
 def sinkhorn_normalize(
@@ -143,60 +149,103 @@ def sinkhorn_normalize(
     exact, and the result is exponentiated. Entries are strictly positive;
     column sums tend to 1 as iterations grow.
     """
-    logits = _check_sinkhorn_args(logits, iterations, temperature)
-    final, _ = _sinkhorn_log_passes(logits, iterations, temperature)
-    return np.exp(final)
+    return np.exp(_sinkhorn_tape(logits, iterations, temperature)[-1][0])
 
 
 def sinkhorn_normalize_backward(
     logits: np.ndarray, iterations: int, temperature: float, d_out: np.ndarray
 ) -> np.ndarray:
-    """Cotangent of sinkhorn_normalize with respect to logits.
-
-    Replays the pass tape in reverse; subtracting a log-sum-exp along an
-    axis pulls back as d_in = d_out - softmax(in) * sum(d_out) along that
-    axis.
-    """
-    logits = _check_sinkhorn_args(logits, iterations, temperature)
-    final, tape = _sinkhorn_log_passes(logits, iterations, temperature)
-    grad = np.asarray(d_out, dtype=np.float64) * np.exp(final)
-    for pass_input, axis in reversed(tape):
-        grad = grad - _softmax(pass_input, axis) * grad.sum(axis=axis, keepdims=True)
-    return grad / temperature
+    """Cotangent of sinkhorn_normalize with respect to logits."""
+    tape = _sinkhorn_tape(logits, iterations, temperature)
+    return _sinkhorn_pullback(tape, temperature, d_out)
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     q, k, v = (np.asarray(m, dtype=np.float64) for m in (q, k, v))
-    if q.ndim != 2 or q.shape != k.shape or k.shape != v.shape:
-        raise ValueError("q, k, v must share one (seq_len, dim) shape")
+    if q.ndim != 2 or q.shape != k.shape or k.shape != v.shape or 0 in q.shape:
+        raise ValueError("q, k, v must share one non-empty (seq_len, dim) shape")
     return q, k, v
 
 
-def _full_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Attention weights softmax(q kᵀ / sqrt(d)), one row per query."""
-    scale = 1.0 / math.sqrt(q.shape[1])
-    return _softmax(q @ k.T * scale, axis=1)
+# Full attention walks the queries in chunks of rows sized so that one
+# chunk of scores holds about this many float64 entries (2 MB), whatever
+# the sequence length; no L x L array is ever allocated.
+_CHUNK_ENTRIES = 2**18
+
+
+def _full_chunks(q: np.ndarray, k: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Softmax rows of q kᵀ / sqrt(d), one query chunk at a time, as
+    (rows, weights) pairs. Every chunk holds whole key rows, so each row is
+    normalized on its own with no running log-sum-exp."""
+    scaled = q * (1.0 / math.sqrt(q.shape[1]))
+    step = max(1, _CHUNK_ENTRIES // len(k))
+    for start in range(0, len(q), step):
+        rows = slice(start, start + step)
+        weights = scaled[rows] @ k.T
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
+        yield rows, weights
 
 
 def full_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Standard softmax(q kᵀ / sqrt(d)) v."""
+    """Standard softmax(q kᵀ / sqrt(d)) v, computed in query chunks with
+    O(L·chunk) memory."""
     q, k, v = _check_qkv(q, k, v)
-    return _full_weights(q, k) @ v
+    out = np.empty_like(v)
+    for rows, weights in _full_chunks(q, k):
+        out[rows] = weights @ v
+    return out
 
 
 def full_attention_backward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cotangents (d_q, d_k, d_v) of full_attention, recomputing each query
+    chunk's weights instead of keeping them."""
     q, k, v = _check_qkv(q, k, v)
     d_out = np.asarray(d_out, dtype=np.float64)
+    if d_out.shape != q.shape:
+        raise ValueError("d_out must have the (seq_len, dim) shape of q")
+    d_q = np.empty_like(q)
+    d_k = np.zeros_like(k)
+    d_v = np.zeros_like(v)
+    for rows, weights in _full_chunks(q, k):
+        d_v += weights.T @ d_out[rows]
+        d_logits = d_out[rows] @ v.T
+        d_logits -= (weights * d_logits).sum(axis=1, keepdims=True)
+        d_logits *= weights
+        d_q[rows] = d_logits @ k
+        d_k += d_logits.T @ q[rows]
     scale = 1.0 / math.sqrt(q.shape[1])
-    weights = _full_weights(q, k)
-    d_weights = d_out @ v.T
-    d_v = weights.T @ d_out
-    d_logits = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
-    d_q = d_logits @ k * scale
-    d_k = d_logits.T @ q * scale
+    d_q *= scale
+    d_k *= scale
     return d_q, d_k, d_v
+
+
+def _sort_blocks_tape(
+    summaries: np.ndarray, mixing: np.ndarray, iterations: int, temperature: float
+) -> list[tuple[np.ndarray, int]]:
+    """The Sinkhorn pass tape of sort_blocks' logits, on float64 inputs."""
+    if summaries.ndim != 2 or mixing.shape != (summaries.shape[1],) * 2:
+        raise ValueError("mixing must be square with the summary dimension")
+    logits = summaries @ mixing @ summaries.T
+    return _sinkhorn_tape(logits, iterations, temperature)
+
+
+def _sort_blocks_pullback(
+    summaries: np.ndarray,
+    mixing: np.ndarray,
+    tape: list[tuple[np.ndarray, int]],
+    temperature: float,
+    d_sorting: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents (d_summaries, d_mixing) of sort_blocks, given the tape
+    that _sort_blocks_tape recorded for the same inputs."""
+    d_logits = _sinkhorn_pullback(tape, temperature, d_sorting)
+    d_summaries = d_logits @ summaries @ mixing.T + d_logits.T @ summaries @ mixing
+    d_mixing = summaries.T @ d_logits @ summaries
+    return d_summaries, d_mixing
 
 
 def sort_blocks(
@@ -213,10 +262,8 @@ def sort_blocks(
     """
     summaries = np.asarray(summaries, dtype=np.float64)
     mixing = np.asarray(mixing, dtype=np.float64)
-    if summaries.ndim != 2 or mixing.shape != (summaries.shape[1],) * 2:
-        raise ValueError("mixing must be square with the summary dimension")
-    logits = summaries @ mixing @ summaries.T
-    return sinkhorn_normalize(logits, iterations, temperature)
+    tape = _sort_blocks_tape(summaries, mixing, iterations, temperature)
+    return np.exp(tape[-1][0])
 
 
 def sort_blocks_backward(
@@ -228,11 +275,8 @@ def sort_blocks_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     summaries = np.asarray(summaries, dtype=np.float64)
     mixing = np.asarray(mixing, dtype=np.float64)
-    logits = summaries @ mixing @ summaries.T
-    d_logits = sinkhorn_normalize_backward(logits, iterations, temperature, d_sorting)
-    d_summaries = d_logits @ summaries @ mixing.T + d_logits.T @ summaries @ mixing
-    d_mixing = summaries.T @ d_logits @ summaries
-    return d_summaries, d_mixing
+    tape = _sort_blocks_tape(summaries, mixing, iterations, temperature)
+    return _sort_blocks_pullback(summaries, mixing, tape, temperature, d_sorting)
 
 
 def _resolve_n_real(spec: AttentionSpec, n_real: int | None) -> int:
@@ -413,22 +457,6 @@ def mean_pool_blocks(
     return summaries, mask
 
 
-def _embedded_sorting(
-    k: np.ndarray, mixing: np.ndarray, spec: AttentionSpec, n_real: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorting over real blocks only, embedded into an identity over all
-    blocks so trailing all-pad blocks never perturb real rows."""
-    summaries, mask = mean_pool_blocks(k, spec, n_real)
-    sorting = np.eye(spec.num_blocks)
-    indices = np.where(mask)[0]
-    if len(indices) > 0:
-        sub = sort_blocks(
-            summaries[indices], mixing, spec.sinkhorn_iterations, spec.temperature
-        )
-        sorting[np.ix_(indices, indices)] = sub
-    return sorting, summaries, mask
-
-
 def sinkhorn_block_attention(
     q: np.ndarray,
     k: np.ndarray,
@@ -441,10 +469,15 @@ def sinkhorn_block_attention(
 
     Summaries come from mean-pooled keys; the sorting matrix is computed
     over blocks containing at least one real position and embedded into an
-    identity elsewhere, which makes outputs invariant to appending masked
-    padding.
+    identity elsewhere, so trailing all-pad blocks never perturb real rows,
+    which makes outputs invariant to appending masked padding.
     """
-    sorting, _, _ = _embedded_sorting(k, mixing, spec, n_real)
+    summaries, mask = mean_pool_blocks(k, spec, n_real)
+    sorting = np.eye(spec.num_blocks)
+    if mask.any():
+        sorting[np.ix_(mask, mask)] = sort_blocks(
+            summaries[mask], mixing, spec.sinkhorn_iterations, spec.temperature
+        )
     return sinkhorn_attention(q, k, v, spec, sorting, n_real)
 
 
@@ -457,25 +490,32 @@ def sinkhorn_block_attention_backward(
     d_out: np.ndarray,
     n_real: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents (d_q, d_k, d_v, d_mixing) of sinkhorn_block_attention."""
+    """Cotangents (d_q, d_k, d_v, d_mixing) of sinkhorn_block_attention.
+
+    The Sinkhorn normalization runs once: the pass tape that builds the
+    sorting is kept and pulled back."""
     n_real = _resolve_n_real(spec, n_real)
-    sorting, summaries, mask = _embedded_sorting(k, mixing, spec, n_real)
+    summaries, mask = mean_pool_blocks(k, spec, n_real)
+    mixing = np.asarray(mixing, dtype=np.float64)
+    sorting = np.eye(spec.num_blocks)
+    if mask.any():
+        tape = _sort_blocks_tape(
+            summaries[mask], mixing, spec.sinkhorn_iterations, spec.temperature
+        )
+        sorting[np.ix_(mask, mask)] = np.exp(tape[-1][0])
     d_q, d_k, d_v, d_sorting = sinkhorn_attention_backward(
         q, k, v, spec, sorting, d_out, n_real
     )
-    mixing = np.asarray(mixing, dtype=np.float64)
-    d_mixing = np.zeros_like(mixing)
-    indices = np.where(mask)[0]
-    if len(indices) > 0:
-        d_sub = d_sorting[np.ix_(indices, indices)]
-        d_summaries_sub, d_mixing = sort_blocks_backward(
-            summaries[indices], mixing, spec.sinkhorn_iterations, spec.temperature, d_sub
-        )
-        real = _real_blocks(spec, n_real)
-        d_summaries = np.zeros((spec.num_blocks, spec.model_dim))
-        d_summaries[indices] = d_summaries_sub / real[indices].sum(axis=1, keepdims=True)
-        d_pool = real[:, :, None] * d_summaries[:, None, :]
-        d_k = d_k + d_pool.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
+    if not mask.any():
+        return d_q, d_k, d_v, np.zeros_like(mixing)
+    d_summaries_sub, d_mixing = _sort_blocks_pullback(
+        summaries[mask], mixing, tape, spec.temperature, d_sorting[np.ix_(mask, mask)]
+    )
+    real = _real_blocks(spec, n_real)
+    d_summaries = np.zeros((spec.num_blocks, spec.model_dim))
+    d_summaries[mask] = d_summaries_sub / real[mask].sum(axis=1, keepdims=True)
+    d_pool = real[:, :, None] * d_summaries[:, None, :]
+    d_k = d_k + d_pool.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
     return d_q, d_k, d_v, d_mixing
 
 

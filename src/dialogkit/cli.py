@@ -578,6 +578,8 @@ def main(argv: list[str] | None = None) -> int:
         for path in (output, sidecar):
             if path is not None and os.path.isdir(path):
                 raise _Failure(EXIT_USAGE, f"{path}: is a directory")
+        if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
+            raise _Failure(EXIT_USAGE, f"{output}: no such directory")
         result = args.func(args)
         for row in result.rows:
             print(_dump(row, args.pretty))

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dialogkit import attention
 from dialogkit.attention import (
     AttentionSpec,
     LayerMode,
@@ -159,6 +161,74 @@ def test_full_attention_degenerate_cases():
     )
     with pytest.raises(ValueError):
         full_attention(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_full_attention_rejects_empty_shapes(shape):
+    empty = np.zeros(shape)
+    with pytest.raises(ValueError, match="non-empty"):
+        full_attention(empty, empty, empty)
+    with pytest.raises(ValueError, match="non-empty"):
+        full_attention_backward(empty, empty, empty, empty)
+
+
+def test_full_attention_backward_rejects_a_misshapen_cotangent():
+    q = np.ones((4, 2))
+    for d_out in (np.ones((5, 2)), np.ones((3, 2)), np.ones((4, 3))):
+        with pytest.raises(ValueError):
+            full_attention_backward(q, q, q, d_out)
+
+
+def _full_oracle(q, k, v, d_out):
+    """Straight-line unchunked full attention: (out, d_q, d_k, d_v)."""
+    scale = 1.0 / math.sqrt(q.shape[1])
+    logits = q @ k.T * scale
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    d_weights = d_out @ v.T
+    d_logits = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
+    return weights @ v, d_logits @ k * scale, d_logits.T @ q * scale, weights.T @ d_out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 4), st.integers(1, 14), st.integers(0, 2**32 - 1)
+)
+@example(1, 3, 1, 0)  # one row
+@example(5, 2, 8, 1)  # fewer rows than one chunk
+@example(6, 3, 3, 2)  # an exact multiple of the chunk
+@example(7, 3, 3, 3)  # a ragged last chunk
+def test_chunked_full_attention_matches_unchunked_oracle(seq_len, dim, chunk_rows, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = (2.0 * m for m in _random_qkv(rng, seq_len, dim))
+    d_out = rng.standard_normal((seq_len, dim))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attention, "_CHUNK_ENTRIES", chunk_rows * seq_len)
+        got = (full_attention(q, k, v), *full_attention_backward(q, k, v, d_out))
+    for actual, expected in zip(got, _full_oracle(q, k, v, d_out)):
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
+def test_gradient_full_attention_over_several_chunks(monkeypatch):
+    rng = np.random.default_rng(16)
+    q, k, v = _random_qkv(rng, 7, 3)
+    monkeypatch.setattr(attention, "_CHUNK_ENTRIES", 3 * 7)
+    weights = rng.standard_normal((7, 3))
+    error = gradient_check(full_attention, full_attention_backward, [q, k, v], weights=weights)
+    assert error < 1e-4
+
+
+def test_full_attention_backward_memory_stays_below_one_score_matrix():
+    seq_len = 2048
+    q, k, v = _random_qkv(np.random.default_rng(17), seq_len, 64)
+    d_out = np.ones_like(q)
+    tracemalloc.start()
+    try:
+        full_attention_backward(q, k, v, d_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < seq_len * seq_len * 8
 
 
 def test_sort_blocks_symmetry_and_degeneracy():

@@ -195,6 +195,17 @@ def test_corrupt_target_is_a_directory(tmp_path, corpus_path, capsys, directory)
     assert list((tmp_path / directory).iterdir()) == []
 
 
+@pytest.mark.parametrize("parent", ["nodir", "corpus.jsonl"])
+def test_corrupt_output_directory_missing(tmp_path, corpus_path, capsys, monkeypatch, parent):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    output = f"{parent}/out.jsonl"
+    assert main(["corrupt", str(corpus_path), output]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"corrupt: {output}: no such directory"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
