@@ -54,18 +54,30 @@ from .metrics import (
     segmentation_to_labels,
     windiff,
 )
-from .attention import (
-    AttentionSpec,
-    LayerMode,
-    block_partition,
-    full_attention,
-    gradient_check,
-    hybrid_schedule,
-    sinkhorn_attention,
-    sinkhorn_block_attention,
-    sinkhorn_normalize,
-    sort_blocks,
+
+# The attention reference is the only numpy user: its names are imported
+# on first use (PEP 562), so tools that never touch it start without numpy.
+_ATTENTION_NAMES = (
+    "AttentionSpec",
+    "LayerMode",
+    "block_partition",
+    "full_attention",
+    "gradient_check",
+    "hybrid_schedule",
+    "sinkhorn_attention",
+    "sinkhorn_block_attention",
+    "sinkhorn_normalize",
+    "sort_blocks",
 )
+
+
+def __getattr__(name: str):
+    if name in _ATTENTION_NAMES:
+        from . import attention
+
+        return getattr(attention, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -106,14 +118,5 @@ __all__ = [
     "rouge_n",
     "segmentation_to_labels",
     "windiff",
-    "AttentionSpec",
-    "LayerMode",
-    "block_partition",
-    "full_attention",
-    "gradient_check",
-    "hybrid_schedule",
-    "sinkhorn_attention",
-    "sinkhorn_block_attention",
-    "sinkhorn_normalize",
-    "sort_blocks",
+    *_ATTENTION_NAMES,
 ]

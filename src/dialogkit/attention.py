@@ -8,15 +8,16 @@ Sinkhorn normalization. The sorting matrix mixes keys and values across
 blocks, so each query attends over its own block plus one soft-matched
 block's worth of remixed positions rather than the full sequence.
 
-Everything here is plain numpy with explicit backward functions. Each
-``*_backward`` takes the forward inputs plus the output cotangent and
-returns input cotangents; :func:`gradient_check` compares any such pair
-against central finite differences. No autograd framework is involved,
-which keeps the kernels auditable and the derivative tests honest. The
-sparse layer's forward and backward share one batched core that handles
-every block at once. Full attention runs in query chunks: its forward and
-backward never hold more than a few chunk-by-L arrays, so memory is
-O(L·chunk) rather than O(L²).
+This module is the package's only numpy user; it also holds the
+``attn-check`` invariant suite. Everything here is plain numpy with explicit
+backward functions. Each ``*_backward`` takes the forward inputs plus the
+output cotangent and returns input cotangents; :func:`gradient_check`
+compares any such pair against central finite differences. No autograd
+framework is involved, which keeps the kernels auditable and the derivative
+tests honest. The sparse layer's forward and backward share one batched
+core that handles every block at once. Full attention runs in query chunks:
+its forward and backward never hold more than a few chunk-by-L arrays, so
+memory is O(L·chunk) rather than O(L²).
 
 Sorting matrices are plain float arrays. After ``iterations`` Sinkhorn
 passes plus one closing row pass, every row sums to 1 within 1e-6 and
@@ -167,6 +168,13 @@ def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     return q, k, v
 
 
+def _check_d_out(d_out: np.ndarray, q: np.ndarray) -> np.ndarray:
+    d_out = np.asarray(d_out, dtype=np.float64)
+    if d_out.shape != q.shape:
+        raise ValueError("d_out must have the (seq_len, dim) shape of q")
+    return d_out
+
+
 # Full attention walks the queries in chunks of rows sized so that one
 # chunk of scores holds about this many float64 entries (2 MB), whatever
 # the sequence length; no L x L array is ever allocated.
@@ -204,9 +212,7 @@ def full_attention_backward(
     """Cotangents (d_q, d_k, d_v) of full_attention, recomputing each query
     chunk's weights instead of keeping them."""
     q, k, v = _check_qkv(q, k, v)
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != q.shape:
-        raise ValueError("d_out must have the (seq_len, dim) shape of q")
+    d_out = _check_d_out(d_out, q)
     d_q = np.empty_like(q)
     d_k = np.zeros_like(k)
     d_v = np.zeros_like(v)
@@ -418,7 +424,7 @@ def sinkhorn_attention_backward(
     q, k, v, sorting, n_real = _check_attention_args(q, k, v, spec, sorting, n_real)
     qb, cat_k, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
     scale = 1.0 / math.sqrt(spec.model_dim)
-    d_outb = _pad_blocks(np.asarray(d_out, dtype=np.float64), spec, n_real)
+    d_outb = _pad_blocks(_check_d_out(d_out, q), spec, n_real)
     d_cat_v = weights.transpose(0, 2, 1) @ d_outb
     d_logits = d_outb @ cat_v.transpose(0, 2, 1)
     d_logits -= (weights * d_logits).sum(axis=2, keepdims=True)
@@ -564,3 +570,136 @@ def gradient_check(
             scale = max(abs(numeric), abs(analytic), 1e-4)
             worst = max(worst, abs(numeric - analytic) / scale)
     return worst
+
+
+def _block_local_reference(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, block_size: int
+) -> np.ndarray:
+    """Naive per-block softmax attention used as the identity-sorting
+    reference; deliberately written as a direct loop."""
+    seq_len, dim = q.shape
+    out = np.zeros_like(q)
+    for start in range(0, seq_len, block_size):
+        stop = min(start + block_size, seq_len)
+        logits = q[start:stop] @ k[start:stop].T / np.sqrt(dim)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights = shifted / shifted.sum(axis=1, keepdims=True)
+        out[start:stop] = weights @ v[start:stop]
+    return out
+
+
+def _attention_checks(spec: AttentionSpec, seed: int) -> list[dict]:
+    """The ``attn-check`` suite: one row per invariant, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    checks: list[dict] = []
+
+    def add(name: str, value: float, tolerance: float | None) -> None:
+        entry = {
+            "check": name,
+            "value": float(value),
+            "tolerance": tolerance,
+            "pass": bool(tolerance is None or value <= tolerance),
+        }
+        checks.append(entry)
+
+    blocks = spec.num_blocks
+    row_dev, col_dev, col_dev_20 = 0.0, 0.0, 0.0
+    for _ in range(20):
+        logits = rng.standard_normal((blocks, blocks))
+        sorting = sinkhorn_normalize(logits, spec.sinkhorn_iterations, spec.temperature)
+        row_dev = max(row_dev, float(np.abs(sorting.sum(axis=1) - 1.0).max()))
+        col_dev = max(col_dev, float(np.abs(sorting.sum(axis=0) - 1.0).max()))
+        settled = sinkhorn_normalize(logits, 20, spec.temperature)
+        col_dev_20 = max(col_dev_20, float(np.abs(settled.sum(axis=0) - 1.0).max()))
+    add("sinkhorn_row_sum_dev", row_dev, 1e-6)
+    add("sinkhorn_col_sum_dev", col_dev, None)
+    add("sinkhorn_col_sum_dev_20_iters", col_dev_20, 1e-4)
+
+    uniform = sinkhorn_normalize(np.zeros((blocks, blocks)), spec.sinkhorn_iterations)
+    add("sinkhorn_uniform_dev", float(np.abs(uniform - 1.0 / blocks).max()), 1e-12)
+
+    q = rng.standard_normal((spec.seq_len, spec.model_dim))
+    k = rng.standard_normal((spec.seq_len, spec.model_dim))
+    v = rng.standard_normal((spec.seq_len, spec.model_dim))
+
+    single = AttentionSpec(
+        seq_len=spec.seq_len,
+        model_dim=spec.model_dim,
+        block_size=spec.seq_len,
+        sinkhorn_iterations=spec.sinkhorn_iterations,
+        temperature=spec.temperature,
+    )
+    sparse_out = sinkhorn_attention(q, k, v, single, np.ones((1, 1)))
+    add(
+        "single_block_vs_full",
+        float(np.abs(sparse_out - full_attention(q, k, v)).max()),
+        1e-6,
+    )
+
+    if spec.padded_len == spec.seq_len:
+        identity_out = sinkhorn_attention(q, k, v, spec, np.eye(blocks))
+        reference = _block_local_reference(q, k, v, spec.block_size)
+        add(
+            "identity_sorting_vs_block_local",
+            float(np.abs(identity_out - reference).max()),
+            1e-6,
+        )
+
+    mixing = rng.standard_normal((spec.model_dim, spec.model_dim))
+    base_out = sinkhorn_block_attention(q, k, v, mixing, spec)
+    extended = AttentionSpec(
+        seq_len=spec.seq_len + 2 * spec.block_size,
+        model_dim=spec.model_dim,
+        block_size=spec.block_size,
+        sinkhorn_iterations=spec.sinkhorn_iterations,
+        temperature=spec.temperature,
+    )
+
+    def extend(m: np.ndarray) -> np.ndarray:
+        tail = rng.standard_normal((extended.seq_len - spec.seq_len, spec.model_dim))
+        return np.vstack([m, tail])
+
+    padded_out = sinkhorn_block_attention(
+        extend(q), extend(k), extend(v), mixing, extended, n_real=spec.seq_len
+    )
+    add(
+        "padding_invariance",
+        float(np.abs(padded_out[: spec.seq_len] - base_out).max()),
+        1e-6,
+    )
+
+    small_q = rng.standard_normal((8, 4))
+    small_k = rng.standard_normal((8, 4))
+    small_v = rng.standard_normal((8, 4))
+    add(
+        "grad_full_attention",
+        gradient_check(full_attention, full_attention_backward, [small_q, small_k, small_v]),
+        1e-4,
+    )
+
+    logits4 = rng.standard_normal((4, 4))
+    grad_weights = rng.standard_normal((4, 4))
+    add(
+        "grad_sinkhorn_normalize",
+        gradient_check(
+            lambda m: sinkhorn_normalize(m, 4, 1.0),
+            lambda m, d: (sinkhorn_normalize_backward(m, 4, 1.0, d),),
+            [logits4],
+            weights=grad_weights,
+        ),
+        1e-4,
+    )
+
+    tiny = AttentionSpec(seq_len=12, model_dim=4, block_size=4, sinkhorn_iterations=4)
+    tiny_inputs = [rng.standard_normal((12, 4)) for _ in range(3)]
+    tiny_mix = rng.standard_normal((4, 4))
+    add(
+        "grad_sinkhorn_block_attention",
+        gradient_check(
+            lambda a, b, c, m: sinkhorn_block_attention(a, b, c, m, tiny),
+            lambda a, b, c, m, d: sinkhorn_block_attention_backward(a, b, c, m, tiny, d),
+            tiny_inputs + [tiny_mix],
+        ),
+        1e-3,
+    )
+    return checks

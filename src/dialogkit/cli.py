@@ -32,20 +32,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .attention import (
-    AttentionSpec,
-    full_attention,
-    full_attention_backward,
-    gradient_check,
-    sinkhorn_attention,
-    sinkhorn_block_attention,
-    sinkhorn_block_attention_backward,
-    sinkhorn_normalize,
-    sinkhorn_normalize_backward,
-)
 from .corpus import FORMATS, RecordError, StatsAccumulator, ingest
 from .metrics import (
     Segmentation,
@@ -350,148 +337,19 @@ def cmd_eval_rouge(args: argparse.Namespace) -> _Result:
     return _Result(config, [args.pairs], len(r1_scores), errors, rows=rows)
 
 
-def _block_local_reference(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, block_size: int
-) -> np.ndarray:
-    """Naive per-block softmax attention used as the identity-sorting
-    reference; deliberately written as a direct loop."""
-    seq_len, dim = q.shape
-    out = np.zeros_like(q)
-    for start in range(0, seq_len, block_size):
-        stop = min(start + block_size, seq_len)
-        logits = q[start:stop] @ k[start:stop].T / np.sqrt(dim)
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights = shifted / shifted.sum(axis=1, keepdims=True)
-        out[start:stop] = weights @ v[start:stop]
-    return out
-
-
-def _attention_checks(spec: AttentionSpec, rng: np.random.Generator) -> list[dict]:
-    checks: list[dict] = []
-
-    def add(name: str, value: float, tolerance: float | None) -> None:
-        entry = {
-            "check": name,
-            "value": float(value),
-            "tolerance": tolerance,
-            "pass": bool(tolerance is None or value <= tolerance),
-        }
-        checks.append(entry)
-
-    blocks = spec.num_blocks
-    row_dev, col_dev, col_dev_20 = 0.0, 0.0, 0.0
-    for _ in range(20):
-        logits = rng.standard_normal((blocks, blocks))
-        sorting = sinkhorn_normalize(logits, spec.sinkhorn_iterations, spec.temperature)
-        row_dev = max(row_dev, float(np.abs(sorting.sum(axis=1) - 1.0).max()))
-        col_dev = max(col_dev, float(np.abs(sorting.sum(axis=0) - 1.0).max()))
-        settled = sinkhorn_normalize(logits, 20, spec.temperature)
-        col_dev_20 = max(col_dev_20, float(np.abs(settled.sum(axis=0) - 1.0).max()))
-    add("sinkhorn_row_sum_dev", row_dev, 1e-6)
-    add("sinkhorn_col_sum_dev", col_dev, None)
-    add("sinkhorn_col_sum_dev_20_iters", col_dev_20, 1e-4)
-
-    uniform = sinkhorn_normalize(np.zeros((blocks, blocks)), spec.sinkhorn_iterations)
-    add("sinkhorn_uniform_dev", float(np.abs(uniform - 1.0 / blocks).max()), 1e-12)
-
-    q = rng.standard_normal((spec.seq_len, spec.model_dim))
-    k = rng.standard_normal((spec.seq_len, spec.model_dim))
-    v = rng.standard_normal((spec.seq_len, spec.model_dim))
-
-    single = AttentionSpec(
-        seq_len=spec.seq_len,
-        model_dim=spec.model_dim,
-        block_size=spec.seq_len,
-        sinkhorn_iterations=spec.sinkhorn_iterations,
-        temperature=spec.temperature,
-    )
-    sparse_out = sinkhorn_attention(q, k, v, single, np.ones((1, 1)))
-    add(
-        "single_block_vs_full",
-        float(np.abs(sparse_out - full_attention(q, k, v)).max()),
-        1e-6,
-    )
-
-    if spec.padded_len == spec.seq_len:
-        identity_out = sinkhorn_attention(q, k, v, spec, np.eye(blocks))
-        reference = _block_local_reference(q, k, v, spec.block_size)
-        add(
-            "identity_sorting_vs_block_local",
-            float(np.abs(identity_out - reference).max()),
-            1e-6,
-        )
-
-    mixing = rng.standard_normal((spec.model_dim, spec.model_dim))
-    base_out = sinkhorn_block_attention(q, k, v, mixing, spec)
-    extended = AttentionSpec(
-        seq_len=spec.seq_len + 2 * spec.block_size,
-        model_dim=spec.model_dim,
-        block_size=spec.block_size,
-        sinkhorn_iterations=spec.sinkhorn_iterations,
-        temperature=spec.temperature,
-    )
-
-    def extend(m: np.ndarray) -> np.ndarray:
-        tail = rng.standard_normal((extended.seq_len - spec.seq_len, spec.model_dim))
-        return np.vstack([m, tail])
-
-    padded_out = sinkhorn_block_attention(
-        extend(q), extend(k), extend(v), mixing, extended, n_real=spec.seq_len
-    )
-    add(
-        "padding_invariance",
-        float(np.abs(padded_out[: spec.seq_len] - base_out).max()),
-        1e-6,
-    )
-
-    small_q = rng.standard_normal((8, 4))
-    small_k = rng.standard_normal((8, 4))
-    small_v = rng.standard_normal((8, 4))
-    add(
-        "grad_full_attention",
-        gradient_check(full_attention, full_attention_backward, [small_q, small_k, small_v]),
-        1e-4,
-    )
-
-    logits4 = rng.standard_normal((4, 4))
-    grad_weights = rng.standard_normal((4, 4))
-    add(
-        "grad_sinkhorn_normalize",
-        gradient_check(
-            lambda m: sinkhorn_normalize(m, 4, 1.0),
-            lambda m, d: (sinkhorn_normalize_backward(m, 4, 1.0, d),),
-            [logits4],
-            weights=grad_weights,
-        ),
-        1e-4,
-    )
-
-    tiny = AttentionSpec(seq_len=12, model_dim=4, block_size=4, sinkhorn_iterations=4)
-    tiny_inputs = [rng.standard_normal((12, 4)) for _ in range(3)]
-    tiny_mix = rng.standard_normal((4, 4))
-    add(
-        "grad_sinkhorn_block_attention",
-        gradient_check(
-            lambda a, b, c, m: sinkhorn_block_attention(a, b, c, m, tiny),
-            lambda a, b, c, m, d: sinkhorn_block_attention_backward(a, b, c, m, tiny, d),
-            tiny_inputs + [tiny_mix],
-        ),
-        1e-3,
-    )
-    return checks
-
-
 def cmd_attn_check(args: argparse.Namespace) -> _Result:
+    # Imported here so that the other commands never load numpy.
+    from . import attention
+
     spec = _configured(
-        AttentionSpec,
+        attention.AttentionSpec,
         seq_len=args.seq_len,
         model_dim=args.model_dim,
         block_size=args.block_size,
         sinkhorn_iterations=args.sinkhorn_iterations,
         temperature=args.temperature,
     )
-    rng = np.random.default_rng(args.seed)
-    checks = _attention_checks(spec, rng)
+    checks = attention._attention_checks(spec, args.seed)
     failed = [c["check"] for c in checks if not c["pass"]]
     if failed:
         print(f"attn-check: failed: {', '.join(failed)}", file=sys.stderr)

@@ -1,55 +1,54 @@
-"""Numeric kernels behind the ROUGE-L and Pk/WinDiff metrics, in numpy."""
+"""Kernels behind the ROUGE-L and Pk/WinDiff metrics, in pure Python.
+
+The LCS runs the bit-parallel recurrence of Allison & Dix (1986) in Hyyrö's
+form (2004) over Python ints: one len(a)-bit column per token of ``b``. The
+columns encode the whole DP table, so summary-level ROUGE-L backtracks
+through them without building it.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
+from operator import sub
+from typing import Sequence
 
 # No compiled path exists; the constant is kept because benchmark runs
 # record it in their environment stamp.
 USE_NUMBA = False
 
 
-def _encode_pair(a: list[str], b: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Map two token lists onto a shared integer vocabulary."""
-    vocab: dict[str, int] = {}
-    for token in a:
-        vocab.setdefault(token, len(vocab))
+def lcs_table(a: Sequence[str], b: Sequence[str]) -> list[int]:
+    """Bit columns V_0..V_len(b) of the LCS table of ``a`` against ``b``.
+
+    ``V_j`` packs the cells L(0..len(a), j) of the table; read one with
+    :func:`lcs_cell`. ``V_0`` has all len(a) bits set.
+    """
+    full = (1 << len(a)) - 1
+    match: dict[str, int] = {}
+    for i, token in enumerate(a):
+        match[token] = match.get(token, 0) | (1 << i)
+    v = full
+    columns = [v]
     for token in b:
-        vocab.setdefault(token, len(vocab))
-    xs = np.fromiter((vocab[t] for t in a), dtype=np.int64, count=len(a))
-    ys = np.fromiter((vocab[t] for t in b), dtype=np.int64, count=len(b))
-    return xs, ys
+        u = v & match.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+        columns.append(v)
+    return columns
 
 
-def lcs_table(a: list[str], b: list[str]) -> np.ndarray:
-    """Full (len(a)+1, len(b)+1) dynamic-programming table of LCS lengths."""
-    xs, ys = _encode_pair(a, b)
-    table = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int64)
-    for i in range(1, len(xs) + 1):
-        eq = (ys == xs[i - 1]).astype(np.int64)
-        prev = table[i - 1]
-        cand = np.maximum(prev[1:], prev[:-1] + eq)
-        table[i, 1:] = np.maximum.accumulate(cand)
-    return table
+def lcs_cell(columns: list[int], i: int, j: int) -> int:
+    """L(i, j), the LCS length of a[:i] and b[:j], from lcs_table(a, b)."""
+    return i - (columns[j] & ((1 << i) - 1)).bit_count()
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two token lists."""
-    if not a or not b:
-        return 0
-    xs, ys = _encode_pair(a, b)
-    prev = np.zeros(len(ys) + 1, dtype=np.int64)
-    for i in range(len(xs)):
-        eq = (ys == xs[i]).astype(np.int64)
-        cand = np.maximum(prev[1:], prev[:-1] + eq)
-        prev[1:] = np.maximum.accumulate(cand)
-    return int(prev[-1])
+    return len(a) - lcs_table(a, b)[-1].bit_count()
 
 
-def window_counts(labels: np.ndarray, k: int) -> np.ndarray:
+def window_counts(labels: Sequence[int], k: int) -> list[int]:
     """Sliding sums of ``labels`` over every full window [i, i+k)."""
-    labels = np.asarray(labels, dtype=np.int64)
     if not 0 < k <= len(labels):
         raise ValueError("window size must be in [1, len(labels)]")
-    padded = np.concatenate([[0], np.cumsum(labels, dtype=np.int64)])
-    return padded[k:] - padded[: len(labels) - k + 1]
+    prefix = [0, *accumulate(labels)]
+    return list(map(sub, prefix[k:], prefix))

@@ -11,6 +11,9 @@ whitespace tokenization, punctuation stripped from token edges, no
 stemming. Scores computed here are consistent with each other but should
 not be compared naively against numbers produced by other toolkits with
 different preprocessing.
+
+All of it is pure Python: ROUGE-L backtracks through the bit-parallel LCS
+columns of :mod:`.kernels`, and Pk/WinDiff count over plain lists.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ import random
 import string
 from collections import Counter
 from dataclasses import dataclass
+from operator import ne
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import split_sentences, tokenize
-from .kernels import lcs_length, lcs_table, window_counts
+from .kernels import lcs_cell, lcs_length, lcs_table, window_counts
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def default_window_size(reference: Segmentation) -> int:
 
 def _paired_window_counts(
     reference: Segmentation, hypothesis: Segmentation, k: int | None
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[list[int], list[int]]:
     if reference.turn_count != hypothesis.turn_count:
         raise ValueError(
             f"turn counts differ: {reference.turn_count} vs {hypothesis.turn_count}"
@@ -102,17 +104,11 @@ def _paired_window_counts(
         k = default_window_size(reference)
     if not 0 < k < reference.turn_count:
         raise ValueError(f"window size needs 0 < k < {reference.turn_count} turns, got {k}")
-    slots = reference.turn_count - 1
-
-    def slot_labels(seg: Segmentation) -> np.ndarray:
-        labels = np.zeros(slots, dtype=np.int64)
-        for b in seg.boundaries:
-            labels[b] = 1
-        return labels
-
-    ref_counts = window_counts(slot_labels(reference), k)
-    hyp_counts = window_counts(slot_labels(hypothesis), k)
-    return ref_counts, hyp_counts, k
+    # Windows slide over the turn_count - 1 slots between turns, so the
+    # final turn's implicit label is dropped.
+    ref_counts = window_counts(segmentation_to_labels(reference)[:-1], k)
+    hyp_counts = window_counts(segmentation_to_labels(hypothesis)[:-1], k)
+    return ref_counts, hyp_counts
 
 
 def pk(
@@ -125,8 +121,8 @@ def pk(
     where reference and hypothesis disagree. k defaults to half the mean
     reference segment length.
     """
-    ref_counts, hyp_counts, _ = _paired_window_counts(reference, hypothesis, k)
-    disagreements = np.count_nonzero((ref_counts > 0) != (hyp_counts > 0))
+    ref_counts, hyp_counts = _paired_window_counts(reference, hypothesis, k)
+    disagreements = sum(map(ne, map(bool, ref_counts), map(bool, hyp_counts)))
     return disagreements / len(ref_counts)
 
 
@@ -139,8 +135,8 @@ def windiff(
     whenever the number of boundaries inside the window differs, so nearby
     misses and extra boundaries are both penalized.
     """
-    ref_counts, hyp_counts, _ = _paired_window_counts(reference, hypothesis, k)
-    differences = np.count_nonzero(ref_counts != hyp_counts)
+    ref_counts, hyp_counts = _paired_window_counts(reference, hypothesis, k)
+    differences = sum(map(ne, ref_counts, hyp_counts))
     return differences / len(ref_counts)
 
 
@@ -220,21 +216,20 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
 
 def _lcs_ref_positions(ref_tokens: list[str], cand_tokens: list[str]) -> set[int]:
     """Reference-token indices participating in one LCS against the
-    candidate, recovered by backtracking the DP table."""
+    candidate, recovered by backtracking the DP table; a tie prefers
+    dropping a reference token."""
     if not ref_tokens or not cand_tokens:
         return set()
-    table = lcs_table(ref_tokens, cand_tokens)
+    columns = lcs_table(ref_tokens, cand_tokens)
     positions: set[int] = set()
     i, j = len(ref_tokens), len(cand_tokens)
     while i > 0 and j > 0:
-        if (
-            ref_tokens[i - 1] == cand_tokens[j - 1]
-            and table[i, j] == table[i - 1, j - 1] + 1
-        ):
+        # Equal tokens always extend the LCS of the shorter prefixes.
+        if ref_tokens[i - 1] == cand_tokens[j - 1]:
             positions.add(i - 1)
             i -= 1
             j -= 1
-        elif table[i - 1, j] >= table[i, j - 1]:
+        elif lcs_cell(columns, i - 1, j) >= lcs_cell(columns, i, j - 1):
             i -= 1
         else:
             j -= 1

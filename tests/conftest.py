@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from dialogkit.core import Dialogue, Turn
 
@@ -81,6 +82,27 @@ def dialogue_to_json_line(dialogue: Dialogue) -> str:
         },
         ensure_ascii=False,
     )
+
+
+# Words carry no colon, so a speakerless line never reads as ``Word: ...``,
+# and may end a sentence; the gaps after them are normalized away.
+_WORDS = st.tuples(
+    st.text("abXYé'", min_size=1, max_size=5),
+    st.sampled_from(["", "", ".", "!", "?", ","]),
+    st.sampled_from([" ", " ", "  ", "\t"]),
+).map("".join)
+_SPEAKERS = st.none() | st.sampled_from(["Ann", "Bob", "Mary Lou", "Dr Who", "é"])
+
+
+@st.composite
+def dialogues(draw, dialogue_id: str = "d", max_turns: int = 12) -> Dialogue:
+    """Random dialogues: speakers present and absent, one or more sentences
+    a turn, built through split_sentences as ingest builds them."""
+    turns = []
+    for _ in range(draw(st.integers(1, max_turns))):
+        utterance = "".join(draw(st.lists(_WORDS, min_size=1, max_size=14)))
+        turns.append(make_turn(draw(_SPEAKERS), utterance))
+    return Dialogue(dialogue_id, tuple(turns))
 
 
 @pytest.fixture

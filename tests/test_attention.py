@@ -179,6 +179,18 @@ def test_full_attention_backward_rejects_a_misshapen_cotangent():
             full_attention_backward(q, q, q, d_out)
 
 
+@pytest.mark.parametrize("d_out_shape", [(11, 2), (9, 2), (7, 2), (8, 3), (8,)])
+def test_sparse_backward_rejects_a_misshapen_cotangent(d_out_shape):
+    spec = AttentionSpec(seq_len=8, model_dim=2, block_size=4)
+    q = np.random.default_rng(0).standard_normal((8, 2))
+    d_out = np.ones(d_out_shape)
+    message = r"d_out must have the \(seq_len, dim\) shape of q"
+    with pytest.raises(ValueError, match=message):
+        sinkhorn_attention_backward(q, q, q, spec, np.eye(2), d_out)
+    with pytest.raises(ValueError, match=message):
+        sinkhorn_block_attention_backward(q, q, q, np.eye(2), spec, d_out)
+
+
 def _full_oracle(q, k, v, d_out):
     """Straight-line unchunked full attention: (out, d_q, d_k, d_v)."""
     scale = 1.0 / math.sqrt(q.shape[1])

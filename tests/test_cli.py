@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -416,7 +418,7 @@ def test_eval_rouge_bad_id_is_malformed_pair(tmp_path, capsys, bad_pair):
 
 def test_attn_check_failure_exits_3_with_manifest_last(monkeypatch, capsys):
     failing = {"check": "broken", "value": 1.0, "tolerance": 0.0, "pass": False}
-    monkeypatch.setattr("dialogkit.cli._attention_checks", lambda spec, rng: [failing])
+    monkeypatch.setattr("dialogkit.attention._attention_checks", lambda spec, seed: [failing])
     assert main(["attn-check"]) == 3
     captured = capsys.readouterr()
     assert [json.loads(line) for line in captured.out.splitlines()] == [failing]
@@ -424,6 +426,39 @@ def test_attn_check_failure_exits_3_with_manifest_last(monkeypatch, capsys):
     assert failed_line == "attn-check: failed: broken"
     manifest = json.loads(manifest_line)
     assert manifest["records"] == 1 and manifest["errors"] == 1
+
+
+_NUMPY_FREE_CHILD = """
+import sys
+import dialogkit, dialogkit.cli
+
+corpus, pairs, labels, out = sys.argv[1:]
+for argv in (
+    ["stats", corpus],
+    ["corrupt", corpus, out],
+    ["eval-rouge", pairs, "--rouge-l-split"],
+    ["eval-seg", labels, labels, "--baselines"],
+):
+    assert dialogkit.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+
+from dialogkit import AttentionSpec, full_attention
+for name in dialogkit.__all__:
+    getattr(dialogkit, name)
+assert full_attention is dialogkit.attention.full_attention
+"""
+
+
+def test_only_the_attention_reference_imports_numpy(tmp_path, corpus_path):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"id": "p", "candidate": "a b. c", "reference": "a c"}) + "\n")
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"id": "s", "labels": [0, 1, 0, 0, 1]}) + "\n")
+    child = [str(corpus_path), str(pairs), str(labels), str(tmp_path / "out.jsonl")]
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, *child], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_attn_check_defaults_pass(capsys):

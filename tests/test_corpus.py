@@ -3,14 +3,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from dialogkit.core import serialize_dialogue
 from dialogkit.corpus import (
     RecordError,
     StatsAccumulator,
     compute_stats,
     ingest,
 )
-from tests.conftest import dialogue_to_json_line, make_dialogue
+from tests.conftest import dialogue_to_json_line, dialogues, make_dialogue
 
 
 def _jsonl(records) -> list[str]:
@@ -40,6 +42,17 @@ def test_ingest_round_trips_conftest_builder():
     dialogue = make_dialogue("x", ("Ann", "One. Two."), (None, "Three."))
     [parsed] = list(ingest([dialogue_to_json_line(dialogue)], "jsonl"))
     assert parsed == dialogue
+
+
+@settings(max_examples=80, deadline=None)
+@given(dialogues())
+def test_serialized_dialogue_survives_ingest(dialogue):
+    text = serialize_dialogue(dialogue.turns)
+    [from_jsonl] = list(ingest([dialogue_to_json_line(dialogue)], "jsonl"))
+    assert from_jsonl == dialogue
+    assert serialize_dialogue(from_jsonl.turns) == text
+    [from_plain] = list(ingest(text.split("\n"), "plain"))
+    assert from_plain.turns == dialogue.turns
 
 
 @pytest.mark.parametrize(

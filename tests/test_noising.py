@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogkit.core import (
     MASK,
@@ -25,7 +27,7 @@ from dialogkit.noising import (
     sample_poisson,
     select_window,
 )
-from tests.conftest import ScriptedRng, make_dialogue, make_turn
+from tests.conftest import ScriptedRng, dialogues, make_dialogue, make_turn
 
 
 # Golden values computed with an independent implementation of the hash
@@ -370,6 +372,31 @@ def test_build_example_trace_replays_exactly():
             noisy = noisy[: -len(suffix)]
         replayed = replay_window_noise(window.turns, example.noise_trace)
         assert serialize_dialogue(replayed) == noisy
+
+
+_NOISE_CONFIGS = st.builds(
+    NoiseConfig,
+    window_fraction=st.floats(0.01, 1.0),
+    max_window_tokens=st.integers(1, 200),
+    speaker_mask_prob=st.floats(0.0, 1.0),
+    infill_rate=st.floats(0.0, 1.0),
+    poisson_lambda=st.floats(0.0, 6.0),
+    min_merge_turns=st.integers(2, 5),
+    global_seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dialogues(max_turns=20), _NOISE_CONFIGS, st.integers(0, 1000))
+def test_replayed_trace_serializes_to_the_noisy_window(dialogue, cfg, example_index):
+    example = build_example(dialogue, cfg, example_index=example_index)
+    window = example.window
+    end = window.start_turn + window.turn_count
+    head = len(serialize_dialogue(dialogue.turns[: window.start_turn]) + "\n") if window.start_turn else 0
+    tail = len("\n" + serialize_dialogue(dialogue.turns[end:])) if end < len(dialogue.turns) else 0
+    noisy = example.input_text[head : len(example.input_text) - tail]
+    replayed = replay_window_noise(window.turns, example.noise_trace)
+    assert serialize_dialogue(replayed) == noisy
 
 
 def test_build_example_deterministic_per_id_and_index():
