@@ -12,6 +12,14 @@ replaces the output only when the run succeeds. A run that fails prints
 exactly one stderr line, ``<command>: <reason>``, writes no manifest and
 leaves any earlier output untouched.
 
+``stats`` and ``corrupt --workers 1`` read the corpus through
+:func:`~dialogkit.corpus.ingest`, which runs the three corpus stages in this
+process: split lines into raw records, parse each record, then screen the
+results for duplicate ids and apply the error policy in input order. With
+``--workers N``, ``corrupt`` splits here, the pool workers parse records
+and build their examples, and screening and the write stay here, so the
+output, exit code and stderr line equal those of one worker.
+
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
 paths), 2 data error (malformed records under --strict, input that is not
 UTF-8, or evaluation files that are misaligned or cannot be scored),
@@ -31,19 +39,28 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from typing import Iterator
 
 from . import __version__
-from .corpus import FORMATS, RecordError, StatsAccumulator, ingest
+from .corpus import (
+    FORMATS,
+    RecordError,
+    StatsAccumulator,
+    ingest,
+    parse_outcome,
+    screen,
+    split_records,
+)
 from .metrics import (
     Segmentation,
+    _pk_windiff,
     baseline_even,
     baseline_random,
     labels_to_segmentation,
     mean_scores,
-    pk,
     rouge_l,
     rouge_n,
-    windiff,
 )
 from .noising import NoiseConfig, build_example
 
@@ -53,6 +70,8 @@ EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
 _SEED_ENV = "DIALOGKIT_SEED"
+# Raw records per task sent to a ``corrupt --workers N`` pool worker.
+_CHUNK_RECORDS = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,13 +173,66 @@ def cmd_stats(args: argparse.Namespace) -> _Result:
     )
 
 
-def _corrupt_one(task: tuple) -> list[str]:
-    dialogue, cfg, examples_per_dialogue = task
+def _corrupt_one(dialogue, cfg: NoiseConfig, examples_per_dialogue: int) -> list[str]:
     lines = []
     for index in range(examples_per_dialogue):
         example = build_example(dialogue, cfg, example_index=index)
         lines.append(_dump(example.to_record()))
     return lines
+
+
+def _corrupt_records(task: tuple) -> list[tuple]:
+    """Pool worker: parse a chunk of raw records and build their examples.
+
+    Returns one :func:`screen` outcome per record, as plain tuples, with the
+    example lines in place of the dialogue.
+    """
+    format, records, cfg, examples_per_dialogue = task
+    outcomes = []
+    for index, line_no, payload in records:
+        line_no, dialogue_id, value = parse_outcome(format, line_no, payload, index)
+        if dialogue_id is not None:
+            value = _corrupt_one(value, cfg, examples_per_dialogue)
+        outcomes.append((line_no, dialogue_id, value))
+    return outcomes
+
+
+def _record_chunks(lines, format: str, failure: list) -> Iterator[list[tuple]]:
+    """``(index, line_no, payload)`` raw records, ``_CHUNK_RECORDS`` at a time.
+
+    The pool pulls this generator in its task-handler thread, where an
+    exception would leave ``imap`` waiting forever for results that never
+    come. So an error from reading ``lines`` ends the chunks and is kept in
+    ``failure``, for the main thread to raise once the results of every
+    earlier record have been screened.
+    """
+    chunk: list[tuple] = []
+    try:
+        for index, (line_no, payload) in enumerate(split_records(lines, format)):
+            chunk.append((index, line_no, payload))
+            if len(chunk) == _CHUNK_RECORDS:
+                yield chunk
+                chunk = []
+    except Exception as exc:
+        failure.append(exc)
+    if chunk:
+        yield chunk
+
+
+def _corrupt_in_pool(
+    args: argparse.Namespace, cfg: NoiseConfig, on_error: str, errors: list
+) -> Iterator[list[str]]:
+    """Each dialogue's example lines, in input order, from ``args.workers``
+    processes that parse and corrupt; this process only splits, screens and
+    raises what reading failed on."""
+    failure: list[Exception] = []
+    chunks = _record_chunks(_read_lines(args.input), args.format, failure)
+    tasks = ((args.format, chunk, cfg, args.examples_per_dialogue) for chunk in chunks)
+    with multiprocessing.Pool(args.workers) as pool:
+        outcomes = chain.from_iterable(pool.imap(_corrupt_records, tasks))
+        yield from screen(outcomes, on_error, errors)
+    if failure:
+        raise failure[0]
 
 
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
@@ -180,23 +252,19 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
     )
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
-    dialogues = ingest(
-        _read_lines(args.input), args.format, on_error=on_error, errors_out=errors
-    )
-    tasks = ((d, cfg, args.examples_per_dialogue) for d in dialogues)
+    if args.workers > 1:
+        examples = _corrupt_in_pool(args, cfg, on_error, errors)
+    else:
+        dialogues = ingest(
+            _read_lines(args.input), args.format, on_error=on_error, errors_out=errors
+        )
+        examples = (_corrupt_one(d, cfg, args.examples_per_dialogue) for d in dialogues)
     records = 0
     with open(_partial(args.output), "w", encoding="utf-8") as out:
-        if args.workers > 1:
-            with multiprocessing.Pool(args.workers) as pool:
-                for lines in pool.imap(_corrupt_one, tasks, chunksize=16):
-                    for line in lines:
-                        out.write(line + "\n")
-                        records += 1
-        else:
-            for task in tasks:
-                for line in _corrupt_one(task):
-                    out.write(line + "\n")
-                    records += 1
+        for lines in examples:
+            for line in lines:
+                out.write(line + "\n")
+                records += 1
     config = {
         "noise": asdict(cfg),
         "format": args.format,
@@ -232,8 +300,7 @@ def _segmentation_rows(triples, k: int | None, tag: dict) -> list[dict]:
     pk_values, wd_values = [], []
     for identifier, reference, candidate in triples:
         try:
-            score_pk = pk(reference, candidate, k)
-            score_wd = windiff(reference, candidate, k)
+            score_pk, score_wd = _pk_windiff(reference, candidate, k)
         except ValueError as exc:
             raise _Failure(EXIT_DATA, f"id {identifier!r}: {exc}") from exc
         pk_values.append(score_pk)

@@ -10,7 +10,7 @@ speaker prefixes included.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 MASK = "[MASK]"
@@ -78,10 +78,18 @@ class Turn:
 
 @dataclass(frozen=True)
 class Dialogue:
-    """A non-empty turn sequence with a corpus-unique id."""
+    """A non-empty turn sequence with a corpus-unique id.
+
+    ``turn_lines`` holds each turn rendered by :func:`serialize_turn` and
+    ``turn_token_counts`` each turn's :func:`turn_token_count`. Both are
+    derived once, on construction, so window selection, example text and
+    statistics never serialize a turn again.
+    """
 
     id: str
     turns: tuple[Turn, ...]
+    turn_lines: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    turn_token_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -89,6 +97,9 @@ class Dialogue:
         if not self.turns:
             raise ValueError(f"dialogue {self.id!r} has no turns")
         object.__setattr__(self, "turns", tuple(self.turns))
+        lines = tuple(map(serialize_turn, self.turns))
+        object.__setattr__(self, "turn_lines", lines)
+        object.__setattr__(self, "turn_token_counts", tuple(map(len, map(tokenize, lines))))
 
 
 def serialize_turn(turn: Turn) -> str:

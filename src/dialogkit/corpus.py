@@ -7,9 +7,14 @@ Two input formats are supported:
 * ``plain``: blocks of ``Speaker: text`` lines separated by blank lines;
   the 0-based block index (as a decimal string) becomes the dialogue id.
 
-Readers are generators and hold at most one dialogue at a time, so corpus
-size is bounded by the largest record, not the file. Malformed records
-raise :class:`RecordError` carrying the line number; with ``on_error="skip"``
+Reading runs in three stages. :func:`split_records` cuts lines into raw
+records without parsing them; :func:`parse_record` turns one raw record
+into a :class:`Dialogue` and depends only on its arguments, so pool workers
+can run it; :func:`screen` applies the in-order duplicate-id check and the
+error policy. :func:`ingest` chains the three in one process. The stages
+stream and hold at most one record at a time, so corpus size is bounded by
+the largest record, not the file. Malformed records raise
+:class:`RecordError` carrying the line number; with ``on_error="skip"``
 they are counted into ``errors_out`` and reading continues.
 """
 
@@ -25,9 +30,7 @@ from .core import (
     Dialogue,
     Turn,
     parse_turn_line,
-    serialize_dialogue,
     split_sentences,
-    tokenize,
 )
 
 FORMATS = ("jsonl", "plain")
@@ -44,6 +47,9 @@ class RecordError(Exception):
         if dialogue_id is not None:
             where += f" (dialogue {dialogue_id!r})"
         super().__init__(f"{where}: {reason}")
+
+    def __reduce__(self):
+        return RecordError, (self.line_no, self.reason, self.dialogue_id)
 
 
 def _check_no_special_tokens(text: str, line_no: int, dialogue_id: str | None) -> None:
@@ -105,6 +111,85 @@ def _dialogue_from_block(block: list[tuple[int, str]], block_index: int) -> Dial
     return Dialogue(dialogue_id, tuple(turns))
 
 
+def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, object]]:
+    """Stage 1: cut text lines into raw records, parsing nothing.
+
+    ``jsonl`` yields ``(line_no, line)`` per non-blank line; ``plain`` yields
+    ``(first_line_no, block)`` per blank-line-separated block, where a block
+    is a list of ``(line_no, line)``.
+    """
+    if format == "jsonl":
+        for line_no, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if line:
+                yield line_no, line
+        return
+    block: list[tuple[int, str]] = []
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n")
+        if line.strip():
+            block.append((line_no, line))
+        elif block:
+            yield block[0][0], block
+            block = []
+    if block:
+        yield block[0][0], block
+
+
+def parse_record(format: str, line_no: int, payload, index: int) -> Dialogue:
+    """Stage 2: one raw record from :func:`split_records` to a dialogue.
+
+    ``index`` is the record's 0-based position, which names a plain block.
+    Raises :class:`RecordError`. Depends on nothing but its arguments, so
+    pool workers call it on records the parent has only split.
+    """
+    if format == "jsonl":
+        return _dialogue_from_json_line(payload, line_no)
+    return _dialogue_from_block(payload, index)
+
+
+def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
+    """:func:`parse_record` as a plain tuple for :func:`screen`:
+    ``(line_no, id, dialogue)``, or ``(line_no, None, (reason, dialogue_id))``
+    for a record that failed."""
+    try:
+        dialogue = parse_record(format, line_no, payload, index)
+    except RecordError as err:
+        return line_no, None, (err.reason, err.dialogue_id)
+    return line_no, dialogue.id, dialogue
+
+
+def screen(
+    outcomes: Iterable[tuple],
+    on_error: str = "raise",
+    errors_out: list[RecordError] | None = None,
+) -> Iterator:
+    """Stage 3: apply the duplicate-id check and the error policy in order.
+
+    ``outcomes`` are ``(line_no, id, value)`` for a parsed record and
+    ``(line_no, None, (reason, dialogue_id))`` for a failed one. The value of
+    each record that passes is yielded. ``on_error="raise"`` raises the first
+    :class:`RecordError`; ``"skip"`` appends it to ``errors_out`` when given.
+    The id set kept for the duplicate check is the only per-corpus state.
+    """
+    if on_error not in ("raise", "skip"):
+        raise ValueError(f"unknown error policy {on_error!r}")
+    seen_ids: set[str] = set()
+    for line_no, dialogue_id, value in outcomes:
+        if dialogue_id is None:
+            err = RecordError(line_no, *value)
+        elif dialogue_id in seen_ids:
+            err = RecordError(line_no, f"duplicate dialogue id {dialogue_id!r}", dialogue_id)
+        else:
+            seen_ids.add(dialogue_id)
+            yield value
+            continue
+        if on_error == "raise":
+            raise err
+        if errors_out is not None:
+            errors_out.append(err)
+
+
 def ingest(
     lines: Iterable[str],
     format: str = "jsonl",
@@ -113,58 +198,16 @@ def ingest(
 ) -> Iterator[Dialogue]:
     """Stream validated dialogues out of an iterable of text lines.
 
-    ``on_error="raise"`` aborts on the first bad record; ``"skip"`` drops it,
-    appending to ``errors_out`` when given. Duplicate ids are record errors;
-    the id set kept for that check is the only per-corpus state.
+    The three stages in one process: :func:`split_records`,
+    :func:`parse_record` and :func:`screen`. ``on_error="raise"`` aborts on
+    the first bad record; ``"skip"`` drops it, appending to ``errors_out``
+    when given. Duplicate ids are record errors.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"unknown error policy {on_error!r}")
-
-    def emit(build, line_no: int):
-        try:
-            dialogue = build()
-            if dialogue.id in seen_ids:
-                raise RecordError(
-                    line_no, f"duplicate dialogue id {dialogue.id!r}", dialogue.id
-                )
-        except RecordError as err:
-            if on_error == "raise":
-                raise
-            if errors_out is not None:
-                errors_out.append(err)
-            return None
-        seen_ids.add(dialogue.id)
-        return dialogue
-
-    seen_ids: set[str] = set()
-    if format == "jsonl":
-        for line_no, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            dialogue = emit(lambda: _dialogue_from_json_line(line, line_no), line_no)
-            if dialogue is not None:
-                yield dialogue
-    else:
-        block: list[tuple[int, str]] = []
-        block_index = 0
-        for line_no, raw in enumerate(lines, 1):
-            line = raw.rstrip("\n")
-            if line.strip():
-                block.append((line_no, line))
-                continue
-            if block:
-                pending, idx = block, block_index
-                block, block_index = [], block_index + 1
-                dialogue = emit(lambda: _dialogue_from_block(pending, idx), pending[0][0])
-                if dialogue is not None:
-                    yield dialogue
-        if block:
-            dialogue = emit(lambda: _dialogue_from_block(block, block_index), block[0][0])
-            if dialogue is not None:
-                yield dialogue
+    records = enumerate(split_records(lines, format))
+    outcomes = (parse_outcome(format, n, payload, i) for i, (n, payload) in records)
+    yield from screen(outcomes, on_error, errors_out)
 
 
 @dataclass(frozen=True)
@@ -207,7 +250,7 @@ class StatsAccumulator:
         self.speaker_total += len(distinct)
         if distinct:
             self.any_speakers = True
-        self.word_total += len(tokenize(serialize_dialogue(dialogue.turns)))
+        self.word_total += sum(dialogue.turn_token_counts)
 
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
         self.dialogue_count += other.dialogue_count

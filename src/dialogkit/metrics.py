@@ -111,6 +111,16 @@ def _paired_window_counts(
     return ref_counts, hyp_counts
 
 
+def _pk_windiff(
+    reference: Segmentation, hypothesis: Segmentation, k: int | None = None
+) -> tuple[float, float]:
+    """Pk and WinDiff from one pair of window counts."""
+    ref_counts, hyp_counts = _paired_window_counts(reference, hypothesis, k)
+    disagreements = sum(map(ne, map(bool, ref_counts), map(bool, hyp_counts)))
+    differences = sum(map(ne, ref_counts, hyp_counts))
+    return disagreements / len(ref_counts), differences / len(ref_counts)
+
+
 def pk(
     reference: Segmentation, hypothesis: Segmentation, k: int | None = None
 ) -> float:
@@ -121,9 +131,7 @@ def pk(
     where reference and hypothesis disagree. k defaults to half the mean
     reference segment length.
     """
-    ref_counts, hyp_counts = _paired_window_counts(reference, hypothesis, k)
-    disagreements = sum(map(ne, map(bool, ref_counts), map(bool, hyp_counts)))
-    return disagreements / len(ref_counts)
+    return _pk_windiff(reference, hypothesis, k)[0]
 
 
 def windiff(
@@ -135,9 +143,7 @@ def windiff(
     whenever the number of boundaries inside the window differs, so nearby
     misses and extra boundaries are both penalized.
     """
-    ref_counts, hyp_counts = _paired_window_counts(reference, hypothesis, k)
-    differences = sum(map(ne, ref_counts, hyp_counts))
-    return differences / len(ref_counts)
+    return _pk_windiff(reference, hypothesis, k)[1]
 
 
 def baseline_random(

@@ -31,12 +31,12 @@ from typing import Sequence
 from .core import (
     MASK,
     MASK_SPEAKER,
+    TURN_SEPARATOR,
     Dialogue,
     Turn,
     serialize_dialogue,
     split_sentences,
     tokenize,
-    turn_token_count,
 )
 
 _FNV_OFFSET64 = 0xCBF29CE484222325
@@ -143,7 +143,7 @@ def select_window(dialogue: Dialogue, cfg: NoiseConfig, rng: random.Random) -> W
     packed greedily and whole. A start turn that alone exceeds the budget
     still forms a window (flagged oversized).
     """
-    counts = [turn_token_count(t) for t in dialogue.turns]
+    counts = dialogue.turn_token_counts
     budget = max(1, min(int(cfg.window_fraction * sum(counts)), cfg.max_window_tokens))
     start = rng.randrange(len(dialogue.turns))
     used = counts[start]
@@ -249,29 +249,40 @@ def _apply_infill(
     turns: Sequence[Turn], spans: Sequence[Sequence[int]], insertions: Sequence[int]
 ) -> list[Turn]:
     """Rebuild turns with spans collapsed to MASK and insertions emitted
-    before their anchor position. Shared by the sampler and by replay."""
+    before their anchor position. Shared by the sampler and by replay.
+
+    Anchors are visited in position order; insertions at a span's start come
+    before its MASK, and anchors inside a span are skipped. A turn without
+    an anchor is returned as it is.
+    """
     per_turn, starts = _flat_utterance_tokens(turns)
     span_at = {int(s): int(length) for s, length in spans}
     insert_counts: dict[int, int] = {}
     for anchor in insertions:
         insert_counts[int(anchor)] = insert_counts.get(int(anchor), 0) + 1
+    anchors = sorted(span_at.keys() | insert_counts.keys())
     out_turns: list[Turn] = []
-    for turn_index, tokens in enumerate(per_turn):
-        begin = starts[turn_index]
+    next_anchor = 0
+    for turn, tokens, begin in zip(turns, per_turn, starts):
         end = begin + len(tokens)
+        if next_anchor == len(anchors) or anchors[next_anchor] >= end:
+            out_turns.append(turn)
+            continue
         rebuilt: list[str] = []
         position = begin
-        while position < end:
-            rebuilt.extend([MASK] * insert_counts.get(position, 0))
-            span_length = span_at.get(position)
-            if span_length is not None:
+        while next_anchor < len(anchors) and anchors[next_anchor] < end:
+            anchor = anchors[next_anchor]
+            next_anchor += 1
+            if anchor < position:
+                continue
+            rebuilt += tokens[position - begin : anchor - begin]
+            rebuilt += [MASK] * insert_counts.get(anchor, 0)
+            position = anchor
+            if anchor in span_at:
                 rebuilt.append(MASK)
-                position += span_length
-            else:
-                rebuilt.append(tokens[position - begin])
-                position += 1
-        original = turns[turn_index]
-        out_turns.append(Turn(original.speaker, tuple(split_sentences(" ".join(rebuilt)))))
+                position += span_at[anchor]
+        rebuilt += tokens[position - begin :]
+        out_turns.append(Turn(turn.speaker, tuple(split_sentences(" ".join(rebuilt)))))
     return out_turns
 
 
@@ -416,7 +427,9 @@ def build_example(
     seed = _example_seed(cfg.global_seed, dialogue.id, example_index)
     rng = random.Random(seed)
     window = select_window(dialogue, cfg, rng)
-    target_text = serialize_dialogue(window.turns)
+    window_end = window.start_turn + window.turn_count
+    lines = dialogue.turn_lines
+    target_text = TURN_SEPARATOR.join(lines[window.start_turn : window_end])
 
     turns: list[Turn] = list(window.turns)
     turns, masked = noise_speaker_mask(turns, cfg.speaker_mask_prob, rng)
@@ -439,14 +452,9 @@ def build_example(
     turns, infill_trace = noise_text_infilling(turns, cfg, rng)
     turns, permutation = noise_turn_permutation(turns, rng)
 
-    window_end = window.start_turn + window.turn_count
-    parts: list[str] = []
-    if window.start_turn > 0:
-        parts.append(serialize_dialogue(dialogue.turns[: window.start_turn]))
-    parts.append(serialize_dialogue(turns))
-    if window_end < len(dialogue.turns):
-        parts.append(serialize_dialogue(dialogue.turns[window_end:]))
-    input_text = "\n".join(parts)
+    input_text = TURN_SEPARATOR.join(
+        (*lines[: window.start_turn], serialize_dialogue(turns), *lines[window_end:])
+    )
 
     trace = {
         "seed": seed,

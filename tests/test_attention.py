@@ -85,6 +85,19 @@ def test_sinkhorn_matches_hand_iterated_oracle():
     np.testing.assert_allclose(out, SINKHORN_2X2_ORACLE, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_sinkhorn_runs_exactly_the_documented_passes(iterations):
+    # Far from converged, so one pass more or fewer moves every entry.
+    logits = np.random.default_rng(4).standard_normal((4, 4)) * 3.0
+    expected = np.exp(logits / 0.7)
+    for _ in range(iterations):
+        expected /= expected.sum(axis=1, keepdims=True)
+        expected /= expected.sum(axis=0, keepdims=True)
+    expected /= expected.sum(axis=1, keepdims=True)
+    out = sinkhorn_normalize(logits, iterations=iterations, temperature=0.7)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
+
 def test_sinkhorn_zero_logits_uniform():
     for size in (1, 2, 5, 8):
         out = sinkhorn_normalize(np.zeros((size, size)), iterations=3)

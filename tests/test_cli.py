@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dialogkit
 from dialogkit.cli import main
+from dialogkit.corpus import ingest
 from tests.conftest import dialogue_to_json_line, make_dialogue, synthetic_dialogue
 
 
@@ -246,6 +250,100 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
     [line] = captured.err.splitlines()
     assert line.startswith(f"{command[0]}: line 10001: not valid utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["latin1.jsonl"]
+
+
+def _bad_corpora() -> dict[str, tuple[str, bytes]]:
+    """Corpora of 40 records (three worker chunks) with bad records in
+    different chunks, by case: (format, file bytes)."""
+    rng = random.Random(0)
+    good = [synthetic_dialogue(f"d{i}", 4, rng) for i in range(40)]
+    lines = [dialogue_to_json_line(d).encode() for d in good]
+    reserved = json.dumps({"id": "r", "turns": [{"utterance": "has [MASK] inside."}]})
+    bad_json = list(lines)
+    bad_json[20], bad_json[35] = b'{"broken', reserved.encode()
+    duplicate = list(lines)
+    duplicate[30] = duplicate[3]
+    # A bad record, then bad bytes far enough on to be decoded in a later
+    # read buffer: --strict must still report the bad record first.
+    not_utf8 = list(lines)
+    not_utf8[5] = b'{"broken'
+    not_utf8[25] = b"\n" * 10000 + "caf\u00e9".encode("latin-1")
+    blocks = [
+        "\n".join(f"{t.speaker}: {t.utterance}" for t in d.turns).encode() for d in good
+    ]
+    blocks[18] = b"Ann: has [MASK] inside."
+    return {
+        "bad-json": ("jsonl", b"\n".join(bad_json) + b"\n"),
+        "duplicate-id": ("jsonl", b"\n".join(duplicate) + b"\n"),
+        "not-utf8": ("jsonl", b"\n".join(not_utf8) + b"\n"),
+        "plain": ("plain", b"\n\n".join(blocks) + b"\n"),
+    }
+
+
+_SRC = str(Path(dialogkit.__file__).resolve().parents[1])
+
+
+def _corrupt_in_subprocess(tmp_path, case, workers, strict):
+    fmt, data = _bad_corpora()[case]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(data)
+    out = tmp_path / "out" / f"out{workers}.jsonl"
+    out.parent.mkdir(exist_ok=True)
+    argv = ["corrupt", str(corpus), str(out), "--format", fmt, "--seed", "3",
+            "--workers", workers, "--examples-per-dialogue", "2"]
+    # A hang in the worker pool must fail the test, not stall the suite.
+    result = subprocess.run(
+        [sys.executable, "-m", "dialogkit", *argv + ["--strict"] * strict],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    return result, out
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+@pytest.mark.parametrize("case", ["bad-json", "duplicate-id", "not-utf8", "plain"])
+def test_corrupt_workers_match_one_worker_on_bad_input(tmp_path, case, strict):
+    runs = {w: _corrupt_in_subprocess(tmp_path, case, w, strict) for w in ("1", "2")}
+    (serial, serial_out), (parallel, parallel_out) = runs["1"], runs["2"]
+    assert parallel.returncode == serial.returncode
+    if serial.returncode != 0:
+        assert serial.returncode == 2
+        [line] = serial.stderr.decode().splitlines()
+        assert line.startswith("corrupt: line ")
+        assert parallel.stderr.decode().splitlines() == [line]
+        assert sorted(os.listdir(serial_out.parent)) == []
+        return
+    assert parallel_out.read_bytes() == serial_out.read_bytes()
+    manifests = [json.loads(run.stderr.decode().splitlines()[-1]) for run in (serial, parallel)]
+    for manifest in manifests:
+        del manifest["duration_s"], manifest["config"]["workers"], manifest["outputs"]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["errors"] == {"bad-json": 2, "duplicate-id": 1, "plain": 1}[case]
+
+
+_POOL_ERRORS_CHILD = """
+import json, sys
+from dialogkit import cli
+args = cli.build_parser().parse_args(["corrupt", *sys.argv[1:3], "--workers", "2"])
+errors = []
+list(cli._corrupt_in_pool(args, cli.NoiseConfig(), "skip", errors))
+print(json.dumps([str(e) for e in errors]))
+"""
+
+
+def test_corrupt_workers_report_errors_in_input_order(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(_bad_corpora()["bad-json"][1])
+    result = subprocess.run(
+        [sys.executable, "-c", _POOL_ERRORS_CHILD, str(corpus), str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    errors = []
+    with open(corpus, encoding="utf-8") as lines:
+        for _ in ingest(lines, "jsonl", on_error="skip", errors_out=errors):
+            pass
+    assert [str(e) for e in errors] == json.loads(result.stdout)
+    assert [e.line_no for e in errors] == [21, 36]
 
 
 def _write_labels(path, rows):

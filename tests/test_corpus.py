@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,14 @@ def test_ingest_rejects_duplicate_ids_with_line_number():
         list(ingest(lines, "jsonl"))
     assert excinfo.value.line_no == 2
     assert "duplicate" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("dialogue_id", ["d1", None])
+def test_record_error_survives_pickling(dialogue_id):
+    err = RecordError(3, "x", dialogue_id)
+    copy = pickle.loads(pickle.dumps(err))
+    assert (copy.line_no, copy.reason, copy.dialogue_id) == (3, "x", dialogue_id)
+    assert str(copy) == str(err)
 
 
 def test_ingest_blank_lines_skipped():

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogkit.metrics import (
     RougeScore,
@@ -23,7 +25,8 @@ from dialogkit.metrics import (
 
 
 def brute_force_pk(reference: Segmentation, hypothesis: Segmentation, k: int) -> float:
-    """Direct definition: walk every window, compare same-segment verdicts."""
+    """Direct definition (Beeferman et al. 1999): walk every window, compare
+    same-segment verdicts."""
 
     def segment_index(seg: Segmentation) -> list[int]:
         index, out = 0, []
@@ -47,6 +50,8 @@ def brute_force_pk(reference: Segmentation, hypothesis: Segmentation, k: int) ->
 
 
 def brute_force_windiff(reference: Segmentation, hypothesis: Segmentation, k: int) -> float:
+    """Direct definition (Pevzner & Hearst 2002): walk every window, compare
+    boundary counts."""
     ref_b, hyp_b = set(reference.boundaries), set(hypothesis.boundaries)
     positions = reference.turn_count - k
     errors = 0
@@ -148,6 +153,26 @@ def test_pk_windiff_match_brute_force_oracle():
         assert windiff(reference, hypothesis, k) == brute_force_windiff(
             reference, hypothesis, k
         )
+
+
+@st.composite
+def segmentation_pairs(draw):
+    turn_count = draw(st.integers(min_value=2, max_value=40))
+    slots = st.sets(st.integers(min_value=0, max_value=turn_count - 2))
+    return Segmentation(turn_count, tuple(draw(slots))), Segmentation(turn_count, tuple(draw(slots)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(segmentation_pairs())
+def test_pk_windiff_equal_per_position_definitions_at_every_k(pair):
+    reference, hypothesis = pair
+    for k in range(1, reference.turn_count):
+        assert pk(reference, hypothesis, k) == brute_force_pk(reference, hypothesis, k)
+        assert windiff(reference, hypothesis, k) == brute_force_windiff(reference, hypothesis, k)
+    k = default_window_size(reference)
+    if k < reference.turn_count:
+        assert pk(reference, hypothesis) == brute_force_pk(reference, hypothesis, k)
+        assert windiff(reference, hypothesis) == brute_force_windiff(reference, hypothesis, k)
 
 
 def test_windiff_at_least_pk_pointwise():

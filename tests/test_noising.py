@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from dialogkit.core import (
     MASK,
     MASK_SPEAKER,
+    Turn,
     serialize_dialogue,
+    split_sentences,
     tokenize,
 )
 from dialogkit.noising import (
     NoiseConfig,
+    _apply_infill,
     build_example,
     derive_seed,
     merge_turns,
@@ -289,6 +292,50 @@ def test_infilling_masks_match_trace_positions():
     now = sum(len(tokenize(t.utterance)) for t in out)
     assert now == original - trace["replaced"] + len(trace["spans"]) + len(
         trace["insertions"]
+    )
+
+
+def _infill_by_position(turns, spans, insertions):
+    """Straight-line oracle for _apply_infill: visit positions one at a
+    time, emit the insertions anchored there, then a span's MASK (skipping
+    the positions it covers) or the token itself."""
+    span_at = {start: length for start, length in spans}
+    out, begin = [], 0
+    for turn in turns:
+        tokens = tokenize(turn.utterance)
+        end, position, rebuilt = begin + len(tokens), begin, []
+        while position < end:
+            rebuilt += [MASK] * insertions.count(position)
+            if position in span_at:
+                rebuilt.append(MASK)
+                position += span_at[position]
+            else:
+                rebuilt.append(tokens[position - begin])
+                position += 1
+        out.append(Turn(turn.speaker, tuple(split_sentences(" ".join(rebuilt)))))
+        begin = end
+    return out
+
+
+@st.composite
+def infill_cases(draw):
+    turns = draw(dialogues()).turns
+    total = sum(len(tokenize(t.utterance)) for t in turns)
+    anchors = st.integers(min_value=0, max_value=total - 1)
+    spans = draw(st.lists(st.tuples(anchors, st.integers(1, 4)), max_size=6))
+    insertions = draw(st.lists(anchors, max_size=6))
+    if spans and draw(st.booleans()):
+        insertions.append(spans[0][0])  # an insertion at a span's start
+    return turns, [list(span) for span in spans], insertions
+
+
+@settings(max_examples=100, deadline=None)
+@given(infill_cases())
+def test_infill_by_slices_matches_the_per_position_oracle(case):
+    turns, spans, insertions = case
+    got = _apply_infill(turns, spans, insertions)
+    assert serialize_dialogue(got) == serialize_dialogue(
+        _infill_by_position(turns, spans, insertions)
     )
 
 
