@@ -184,14 +184,14 @@ def _corrupt_one(dialogue, cfg: NoiseConfig, examples_per_dialogue: int) -> list
 def _corrupt_records(task: tuple) -> list[tuple]:
     """Pool worker: parse a chunk of raw records and build their examples.
 
-    Returns one :func:`screen` outcome per record, as plain tuples, with the
-    example lines in place of the dialogue.
+    Returns one :func:`screen` outcome per record, with the example lines in
+    place of the dialogue; a :class:`RecordError` crosses back as it is.
     """
     format, records, cfg, examples_per_dialogue = task
     outcomes = []
     for index, line_no, payload in records:
         line_no, dialogue_id, value = parse_outcome(format, line_no, payload, index)
-        if dialogue_id is not None:
+        if not isinstance(value, RecordError):
             value = _corrupt_one(value, cfg, examples_per_dialogue)
         outcomes.append((line_no, dialogue_id, value))
     return outcomes

@@ -149,13 +149,13 @@ def parse_record(format: str, line_no: int, payload, index: int) -> Dialogue:
 
 
 def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
-    """:func:`parse_record` as a plain tuple for :func:`screen`:
-    ``(line_no, id, dialogue)``, or ``(line_no, None, (reason, dialogue_id))``
-    for a record that failed."""
+    """:func:`parse_record` as a :func:`screen` outcome: ``(line_no, id,
+    dialogue)``, or ``(line_no, None, error)`` with the :class:`RecordError`
+    itself, which keeps the line it was raised at."""
     try:
         dialogue = parse_record(format, line_no, payload, index)
     except RecordError as err:
-        return line_no, None, (err.reason, err.dialogue_id)
+        return line_no, None, err
     return line_no, dialogue.id, dialogue
 
 
@@ -166,8 +166,8 @@ def screen(
 ) -> Iterator:
     """Stage 3: apply the duplicate-id check and the error policy in order.
 
-    ``outcomes`` are ``(line_no, id, value)`` for a parsed record and
-    ``(line_no, None, (reason, dialogue_id))`` for a failed one. The value of
+    ``outcomes`` are ``(line_no, id, value)`` per record, where ``value`` is
+    the :class:`RecordError` of a record that failed to parse. The value of
     each record that passes is yielded. ``on_error="raise"`` raises the first
     :class:`RecordError`; ``"skip"`` appends it to ``errors_out`` when given.
     The id set kept for the duplicate check is the only per-corpus state.
@@ -176,8 +176,8 @@ def screen(
         raise ValueError(f"unknown error policy {on_error!r}")
     seen_ids: set[str] = set()
     for line_no, dialogue_id, value in outcomes:
-        if dialogue_id is None:
-            err = RecordError(line_no, *value)
+        if isinstance(value, RecordError):
+            err = value
         elif dialogue_id in seen_ids:
             err = RecordError(line_no, f"duplicate dialogue id {dialogue_id!r}", dialogue_id)
         else:

@@ -252,6 +252,9 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["latin1.jsonl"]
 
 
+_BAD_PLAIN_LINE = b"Bob: has [MASK] inside."
+
+
 def _bad_corpora() -> dict[str, tuple[str, bytes]]:
     """Corpora of 40 records (three worker chunks) with bad records in
     different chunks, by case: (format, file bytes)."""
@@ -271,7 +274,7 @@ def _bad_corpora() -> dict[str, tuple[str, bytes]]:
     blocks = [
         "\n".join(f"{t.speaker}: {t.utterance}" for t in d.turns).encode() for d in good
     ]
-    blocks[18] = b"Ann: has [MASK] inside."
+    blocks[18] = b"Ann: fine.\n" + _BAD_PLAIN_LINE
     return {
         "bad-json": ("jsonl", b"\n".join(bad_json) + b"\n"),
         "duplicate-id": ("jsonl", b"\n".join(duplicate) + b"\n"),
@@ -318,6 +321,18 @@ def test_corrupt_workers_match_one_worker_on_bad_input(tmp_path, case, strict):
         del manifest["duration_s"], manifest["config"]["workers"], manifest["outputs"]
     assert manifests[0] == manifests[1]
     assert manifests[0]["errors"] == {"bad-json": 2, "duplicate-id": 1, "plain": 1}[case]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_corrupt_strict_names_the_bad_line_inside_a_plain_block(tmp_path, workers):
+    result, out = _corrupt_in_subprocess(tmp_path, "plain", workers, strict=True)
+    line_no = _bad_corpora()["plain"][1].split(b"\n").index(_BAD_PLAIN_LINE) + 1
+    assert result.returncode == 2
+    assert result.stderr.decode().splitlines() == [
+        f"corrupt: line {line_no} (dialogue '18'): "
+        "reserved token [MASK] appears in corpus text"
+    ]
+    assert os.listdir(out.parent) == []
 
 
 _POOL_ERRORS_CHILD = """

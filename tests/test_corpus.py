@@ -93,6 +93,16 @@ def test_ingest_rejects_duplicate_ids_with_line_number():
     assert "duplicate" in str(excinfo.value)
 
 
+def test_ingest_plain_reports_the_bad_line_inside_a_block():
+    text = ["Ann: fine.", "Bob: has [MASK] inside.", "", "Ann: ok."]
+    with pytest.raises(RecordError) as excinfo:
+        list(ingest(text, "plain"))
+    assert excinfo.value.line_no == 2
+    errors: list[RecordError] = []
+    assert [d.id for d in ingest(text, "plain", on_error="skip", errors_out=errors)] == ["1"]
+    assert [(e.line_no, e.dialogue_id) for e in errors] == [(2, "0")]
+
+
 @pytest.mark.parametrize("dialogue_id", ["d1", None])
 def test_record_error_survives_pickling(dialogue_id):
     err = RecordError(3, "x", dialogue_id)
