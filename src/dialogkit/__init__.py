@@ -60,7 +60,6 @@ from .metrics import (
 _ATTENTION_NAMES = (
     "AttentionSpec",
     "LayerMode",
-    "block_partition",
     "full_attention",
     "gradient_check",
     "hybrid_schedule",

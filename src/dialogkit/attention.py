@@ -78,15 +78,6 @@ class AttentionSpec:
         return self.padded_len // self.block_size
 
 
-def block_partition(seq_len: int, block_size: int) -> list[range]:
-    """Contiguous equal index ranges covering seq_len right-padded to a
-    multiple of block_size; positions past seq_len are padding."""
-    if seq_len < 1 or block_size < 1:
-        raise ValueError("seq_len and block_size must be positive")
-    padded = -(-seq_len // block_size) * block_size
-    return [range(i, i + block_size) for i in range(0, padded, block_size)]
-
-
 def hybrid_schedule(spec: AttentionSpec) -> list[LayerMode]:
     """Per-layer mode list, 1-based layer indices against
     spec.full_attention_layers."""

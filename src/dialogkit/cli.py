@@ -12,13 +12,19 @@ replaces the output only when the run succeeds. A run that fails prints
 exactly one stderr line, ``<command>: <reason>``, writes no manifest and
 leaves any earlier output untouched.
 
-``stats`` and ``corrupt --workers 1`` read the corpus through
+Every command reads its input through ``_read_lines``, which accepts LF,
+CRLF and CR line endings and checks each line as UTF-8 before handing it
+on, so the first bad line is reported in file order. Json lines are cut by
+:func:`~dialogkit.corpus.split_records` and decoded by
+:func:`~dialogkit.corpus.json_record` in every command. ``stats`` and ``corrupt --workers 1`` read the corpus through
 :func:`~dialogkit.corpus.ingest`, which runs the three corpus stages in this
 process: split lines into raw records, parse each record, then screen the
 results for duplicate ids and apply the error policy in input order. With
 ``--workers N``, ``corrupt`` splits here, the pool workers parse records
-and build their examples, and screening and the write stay here, so the
-output, exit code and stderr line equal those of one worker.
+and build their examples, and screening and the write stay here; an error
+from reading reaches this process through the pool after the records read
+before it, so the output, exit code and stderr line equal those of one
+worker.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
 paths), 2 data error (malformed records under --strict, input that is not
@@ -48,6 +54,7 @@ from .corpus import (
     RecordError,
     StatsAccumulator,
     ingest,
+    json_record,
     parse_outcome,
     screen,
     split_records,
@@ -129,25 +136,20 @@ def _configured(factory, **fields):
         raise _Failure(EXIT_USAGE, str(exc)) from exc
 
 
-def _read_lines(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            yield from handle
-    except UnicodeDecodeError as exc:
-        raise RecordError(_first_undecodable_line(path), f"not valid utf-8 ({exc.reason})")
-
-
-def _first_undecodable_line(path: str) -> int:
-    # Text mode decodes whole buffers, so the error does not say which line
-    # held the bad bytes; a newline byte never occurs inside a UTF-8 sequence.
-    line_no = 0
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
+def _read_lines(path: str) -> Iterator[str]:
+    """The lines of ``path`` with universal newlines. Undecodable bytes are
+    kept as surrogates, so the line that holds them raises
+    :class:`RecordError` only after every earlier line has been yielded."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return line_no
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise RecordError(line_no, f"not valid utf-8 ({exc.reason})") from None
+            yield line
 
 
 def _partial(path: str) -> str:
@@ -197,14 +199,14 @@ def _corrupt_records(task: tuple) -> list[tuple]:
     return outcomes
 
 
-def _record_chunks(lines, format: str, failure: list) -> Iterator[list[tuple]]:
+def _record_chunks(lines, format: str) -> Iterator[list[tuple]]:
     """``(index, line_no, payload)`` raw records, ``_CHUNK_RECORDS`` at a time.
 
-    The pool pulls this generator in its task-handler thread, where an
-    exception would leave ``imap`` waiting forever for results that never
-    come. So an error from reading ``lines`` ends the chunks and is kept in
-    ``failure``, for the main thread to raise once the results of every
-    earlier record have been screened.
+    The pool pulls this generator in its task-handler thread. An error from
+    reading ``lines`` first yields the records read before it, then
+    propagates: ``Pool.imap`` files it as a failed task after every chunk
+    already sent, so the main thread raises it only once the results of
+    every earlier record have been screened.
     """
     chunk: list[tuple] = []
     try:
@@ -213,8 +215,10 @@ def _record_chunks(lines, format: str, failure: list) -> Iterator[list[tuple]]:
             if len(chunk) == _CHUNK_RECORDS:
                 yield chunk
                 chunk = []
-    except Exception as exc:
-        failure.append(exc)
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
     if chunk:
         yield chunk
 
@@ -223,16 +227,12 @@ def _corrupt_in_pool(
     args: argparse.Namespace, cfg: NoiseConfig, on_error: str, errors: list
 ) -> Iterator[list[str]]:
     """Each dialogue's example lines, in input order, from ``args.workers``
-    processes that parse and corrupt; this process only splits, screens and
-    raises what reading failed on."""
-    failure: list[Exception] = []
-    chunks = _record_chunks(_read_lines(args.input), args.format, failure)
+    processes that parse and corrupt; this process only splits and screens."""
+    chunks = _record_chunks(_read_lines(args.input), args.format)
     tasks = ((args.format, chunk, cfg, args.examples_per_dialogue) for chunk in chunks)
     with multiprocessing.Pool(args.workers) as pool:
         outcomes = chain.from_iterable(pool.imap(_corrupt_records, tasks))
         yield from screen(outcomes, on_error, errors)
-    if failure:
-        raise failure[0]
 
 
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
@@ -277,16 +277,14 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
 
 def _load_labeled_segmentations(path: str) -> dict[str, Segmentation]:
     segmentations: dict[str, Segmentation] = {}
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in split_records(_read_lines(path), "jsonl"):
+        record = json_record(line, line_no)
         try:
-            record = json.loads(line)
             seg = labels_to_segmentation(record["labels"])
             identifier = record["id"]
             if not isinstance(identifier, str):
                 raise TypeError(f"id must be a string, not {identifier!r}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RecordError(line_no, f"bad segmentation record: {exc}")
         if identifier in segmentations:
             raise RecordError(line_no, f"duplicate id {identifier!r}")
@@ -356,21 +354,18 @@ def cmd_eval_rouge(args: argparse.Namespace) -> _Result:
     r1_scores, r2_scores, rl_scores = [], [], []
     seen: set[str] = set()
     errors = 0
-    for line_no, line in enumerate(_read_lines(args.pairs), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in split_records(_read_lines(args.pairs), "jsonl"):
         try:
-            record = json.loads(line)
-            identifier = record["id"]
-            candidate = record["candidate"]
-            reference = record["reference"]
-            if not all(isinstance(x, str) for x in (identifier, candidate, reference)):
-                raise TypeError("id, candidate and reference must be strings")
+            record = json_record(line, line_no)
+            fields = tuple(record.get(key) for key in ("id", "candidate", "reference"))
+            if not all(isinstance(x, str) for x in fields):
+                raise RecordError(line_no, "id, candidate and reference must be strings")
+            identifier, candidate, reference = fields
             if identifier in seen:
-                raise ValueError(f"duplicate id {identifier!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+                raise RecordError(line_no, f"duplicate id {identifier!r}")
+        except RecordError:
             if args.strict:
-                raise RecordError(line_no, str(exc)) from exc
+                raise
             errors += 1
             continue
         seen.add(identifier)

@@ -8,14 +8,17 @@ Two input formats are supported:
   the 0-based block index (as a decimal string) becomes the dialogue id.
 
 Reading runs in three stages. :func:`split_records` cuts lines into raw
-records without parsing them; :func:`parse_record` turns one raw record
-into a :class:`Dialogue` and depends only on its arguments, so pool workers
-can run it; :func:`screen` applies the in-order duplicate-id check and the
-error policy. :func:`ingest` chains the three in one process. The stages
-stream and hold at most one record at a time, so corpus size is bounded by
-the largest record, not the file. Malformed records raise
-:class:`RecordError` carrying the line number; with ``on_error="skip"``
-they are counted into ``errors_out`` and reading continues.
+records without parsing them; :func:`parse_outcome` turns one raw record
+into a :class:`Dialogue` or its :class:`RecordError` and depends only on its
+arguments, so pool workers can run it; :func:`screen` applies the in-order
+duplicate-id check and the error policy. :func:`ingest` chains the three in
+one process. The stages stream and hold at most one record at a time, so
+corpus size is bounded by the largest record, not the file. Malformed
+records raise :class:`RecordError` carrying the line number; with
+``on_error="skip"`` they are counted into ``errors_out`` and reading
+continues. :func:`json_record` is the one decoder of a jsonl line, shared
+with the evaluation readers: a line that is not json, nests too deeply to
+decode, or is not an object is a record error.
 """
 
 from __future__ import annotations
@@ -76,13 +79,21 @@ def _turn_from_fields(
         raise RecordError(line_no, str(exc), dialogue_id) from exc
 
 
-def _dialogue_from_json_line(line: str, line_no: int) -> Dialogue:
+def json_record(line: str, line_no: int) -> dict:
+    """One jsonl line as a json object; anything else raises :class:`RecordError`."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordError(line_no, f"invalid json: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise RecordError(line_no, f"invalid json: {exc}") from exc
     if not isinstance(record, dict):
         raise RecordError(line_no, "record is not a json object")
+    return record
+
+
+def _dialogue_from_json_line(line: str, line_no: int) -> Dialogue:
+    record = json_record(line, line_no)
     dialogue_id = record.get("id")
     if not isinstance(dialogue_id, str) or not dialogue_id:
         raise RecordError(line_no, "missing or empty 'id'")
@@ -136,24 +147,20 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
         yield block[0][0], block
 
 
-def parse_record(format: str, line_no: int, payload, index: int) -> Dialogue:
-    """Stage 2: one raw record from :func:`split_records` to a dialogue.
+def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
+    """Stage 2: one raw record from :func:`split_records` as a :func:`screen`
+    outcome, ``(line_no, id, dialogue)``, or ``(line_no, None, error)`` with
+    the :class:`RecordError` itself, which keeps the line it was raised at.
 
     ``index`` is the record's 0-based position, which names a plain block.
-    Raises :class:`RecordError`. Depends on nothing but its arguments, so
-    pool workers call it on records the parent has only split.
+    Depends on nothing but its arguments, so pool workers call it on records
+    the parent has only split.
     """
-    if format == "jsonl":
-        return _dialogue_from_json_line(payload, line_no)
-    return _dialogue_from_block(payload, index)
-
-
-def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
-    """:func:`parse_record` as a :func:`screen` outcome: ``(line_no, id,
-    dialogue)``, or ``(line_no, None, error)`` with the :class:`RecordError`
-    itself, which keeps the line it was raised at."""
     try:
-        dialogue = parse_record(format, line_no, payload, index)
+        if format == "jsonl":
+            dialogue = _dialogue_from_json_line(payload, line_no)
+        else:
+            dialogue = _dialogue_from_block(payload, index)
     except RecordError as err:
         return line_no, None, err
     return line_no, dialogue.id, dialogue
@@ -199,7 +206,7 @@ def ingest(
     """Stream validated dialogues out of an iterable of text lines.
 
     The three stages in one process: :func:`split_records`,
-    :func:`parse_record` and :func:`screen`. ``on_error="raise"`` aborts on
+    :func:`parse_outcome` and :func:`screen`. ``on_error="raise"`` aborts on
     the first bad record; ``"skip"`` drops it, appending to ``errors_out``
     when given. Duplicate ids are record errors.
     """

@@ -26,7 +26,7 @@ from operator import ne
 from typing import Iterable, Sequence
 
 from .core import split_sentences, tokenize
-from .kernels import lcs_cell, lcs_length, lcs_table, window_counts
+from .kernels import lcs_length, lcs_table, window_counts
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,10 @@ def _lcs_ref_positions(ref_tokens: list[str], cand_tokens: list[str]) -> set[int
             positions.add(i - 1)
             i -= 1
             j -= 1
-        elif lcs_cell(columns, i - 1, j) >= lcs_cell(columns, i, j - 1):
+        # Otherwise L(i, j) = max(L(i-1, j), L(i, j-1)), and bit i-1 of V_j
+        # is set exactly when L(i-1, j) = L(i, j), that is when
+        # L(i-1, j) >= L(i, j-1): the tie-break that drops a reference token.
+        elif columns[j] >> (i - 1) & 1:
             i -= 1
         else:
             j -= 1

@@ -405,14 +405,6 @@ class DenoisingExample:
         }
 
 
-def _can_split(turns: Sequence[Turn]) -> bool:
-    return _split_target(turns) is not None
-
-
-def _can_merge(turns: Sequence[Turn]) -> bool:
-    return len(turns) >= 2
-
-
 def build_example(
     dialogue: Dialogue, cfg: NoiseConfig, example_index: int = 0
 ) -> DenoisingExample:
@@ -436,17 +428,17 @@ def build_example(
 
     coin = "split" if rng.random() < 0.5 else "merge"
     op_trace: dict = {"coin": coin, "applied": "none", "split": None, "merge": None}
-    order = (coin, "merge" if coin == "split" else "split")
-    for op in order:
-        if op == "split" and _can_split(turns):
-            turns, fragment = noise_turn_splitting(turns)
-            op_trace["applied"] = "split"
-            op_trace["split"] = fragment
-            break
-        if op == "merge" and _can_merge(turns):
-            turns, fragment = noise_turn_merging(turns, cfg, rng)
-            op_trace["applied"] = "merge"
-            op_trace["merge"] = fragment
+    # A transform that cannot change anything returns no fragment and draws
+    # nothing, so trying the pick first and then the other is the whole rule.
+    for op in (coin, "merge" if coin == "split" else "split"):
+        if op == "split":
+            noised, fragment = noise_turn_splitting(turns)
+        else:
+            noised, fragment = noise_turn_merging(turns, cfg, rng)
+        if fragment is not None:
+            turns = noised
+            op_trace["applied"] = op
+            op_trace[op] = fragment
             break
 
     turns, infill_trace = noise_text_infilling(turns, cfg, rng)

@@ -12,7 +12,6 @@ from dialogkit import attention
 from dialogkit.attention import (
     AttentionSpec,
     LayerMode,
-    block_partition,
     full_attention,
     full_attention_backward,
     gradient_check,
@@ -52,15 +51,6 @@ def test_spec_validation_and_padding():
             seq_len=8, model_dim=4, block_size=4, num_layers=3,
             full_attention_layers=frozenset({4}),
         )
-
-
-def test_block_partition_examples():
-    assert block_partition(10, 5) == [range(0, 5), range(5, 10)]
-    three = block_partition(10, 4)
-    assert three == [range(0, 4), range(4, 8), range(8, 12)]
-    assert block_partition(4, 8) == [range(0, 8)]
-    with pytest.raises(ValueError):
-        block_partition(0, 4)
 
 
 def test_hybrid_schedule_default_and_extremes():

@@ -268,6 +268,10 @@ def _bad_corpora() -> dict[str, tuple[str, bytes]]:
     not_utf8 = list(lines)
     not_utf8[5] = b'{"broken'
     not_utf8[25] = b"\n" * 10000 + "caf\u00e9".encode("latin-1")
+    # The same, with the bad bytes on the very next line, in one read buffer.
+    utf8_next = list(lines)
+    utf8_next[7] = b'{"broken'
+    utf8_next[8] = "caf\u00e9".encode("latin-1")
     blocks = [
         "\n".join(f"{t.speaker}: {t.utterance}" for t in d.turns).encode() for d in good
     ]
@@ -276,11 +280,20 @@ def _bad_corpora() -> dict[str, tuple[str, bytes]]:
         "bad-json": ("jsonl", b"\n".join(bad_json) + b"\n"),
         "duplicate-id": ("jsonl", b"\n".join(duplicate) + b"\n"),
         "not-utf8": ("jsonl", b"\n".join(not_utf8) + b"\n"),
+        "not-utf8-next": ("jsonl", b"\n".join(utf8_next) + b"\n"),
         "plain": ("plain", b"\n\n".join(blocks) + b"\n"),
     }
 
 
 _SRC = str(Path(dialogkit.__file__).resolve().parents[1])
+
+
+def _run_cli(argv):
+    # A hang in a worker pool must fail the test, not stall the suite.
+    return subprocess.run(
+        [sys.executable, "-m", "dialogkit", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+    )
 
 
 def _corrupt_in_subprocess(tmp_path, case, workers, strict):
@@ -291,12 +304,7 @@ def _corrupt_in_subprocess(tmp_path, case, workers, strict):
     out.parent.mkdir(exist_ok=True)
     argv = ["corrupt", str(corpus), str(out), "--format", fmt, "--seed", "3",
             "--workers", workers, "--examples-per-dialogue", "2"]
-    # A hang in the worker pool must fail the test, not stall the suite.
-    result = subprocess.run(
-        [sys.executable, "-m", "dialogkit", *argv + ["--strict"] * strict],
-        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
-    )
-    return result, out
+    return _run_cli(argv + ["--strict"] * strict), out
 
 
 # The one stderr line of each failing (case, strict) run, up to the detail
@@ -306,29 +314,117 @@ _FIRST_ERRORS = {
     ("duplicate-id", True): "corrupt: line 31 (dialogue 'd3'): duplicate dialogue id 'd3'",
     ("not-utf8", False): "corrupt: line 10026: not valid utf-8 ",
     ("not-utf8", True): "corrupt: line 6: invalid json: ",
+    ("not-utf8-next", False): "corrupt: line 9: not valid utf-8 ",
+    ("not-utf8-next", True): "corrupt: line 8: invalid json: ",
     ("plain", True): "corrupt: line 92 (dialogue '18'): reserved token [MASK] appears in corpus text",
 }
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
-@pytest.mark.parametrize("case", ["bad-json", "duplicate-id", "not-utf8", "plain"])
+@pytest.mark.parametrize(
+    "case", ["bad-json", "duplicate-id", "not-utf8", "not-utf8-next", "plain"]
+)
 def test_corrupt_workers_match_one_worker_on_bad_input(tmp_path, case, strict):
     runs = {w: _corrupt_in_subprocess(tmp_path, case, w, strict) for w in ("1", "2")}
     (serial, serial_out), (parallel, parallel_out) = runs["1"], runs["2"]
     assert parallel.returncode == serial.returncode
     if serial.returncode != 0:
         assert serial.returncode == 2
-        [line] = serial.stderr.decode().splitlines()
+        [line] = serial.stderr.splitlines()
         assert line.startswith(_FIRST_ERRORS[case, strict])
-        assert parallel.stderr.decode().splitlines() == [line]
+        assert parallel.stderr.splitlines() == [line]
         assert sorted(os.listdir(serial_out.parent)) == []
         return
     assert parallel_out.read_bytes() == serial_out.read_bytes()
-    manifests = [json.loads(run.stderr.decode().splitlines()[-1]) for run in (serial, parallel)]
+    manifests = [json.loads(run.stderr.splitlines()[-1]) for run in (serial, parallel)]
     for manifest in manifests:
         del manifest["duration_s"], manifest["config"]["workers"], manifest["outputs"]
     assert manifests[0] == manifests[1]
     assert manifests[0]["errors"] == {"bad-json": 2, "duplicate-id": 1, "plain": 1}[case]
+
+
+_GOOD_RECORDS = {
+    "stats": {"id": "a", "turns": [{"speaker": "Tom", "utterance": "x y."}]},
+    "corrupt": {"id": "a", "turns": [{"speaker": "Tom", "utterance": "x y."}]},
+    "eval-rouge": {"id": "a", "candidate": "x y", "reference": "x"},
+    "eval-seg": {"id": "a", "labels": [0, 1, 0]},
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["stats", "{input}", "--strict"], ["eval-rouge", "{input}", "--strict"],
+     ["eval-seg", "{input}", "{input}"]],
+    ids=lambda command: command[0],
+)
+def test_strict_reports_bad_record_before_bad_bytes_on_next_line(tmp_path, capsys, command):
+    path = tmp_path / "mixed.jsonl"
+    good = json.dumps(_GOOD_RECORDS[command[0]]).encode()
+    path.write_bytes(good + b'\n{"broken\n{"id": "c\xff"}\n')
+    assert main([part.format(input=path) for part in command]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{command[0]}: line 2: invalid json: ")
+
+
+_DEEP_RUNS = {
+    "stats": ["stats", "{input}"],
+    "corrupt-1": ["corrupt", "{input}", "{output}", "--workers", "1"],
+    "corrupt-2": ["corrupt", "{input}", "{output}", "--workers", "2"],
+    "eval-rouge": ["eval-rouge", "{input}"],
+    "eval-seg": ["eval-seg", "{input}", "{input}"],
+}
+
+
+@pytest.mark.parametrize(
+    "run, strict",
+    [pytest.param(run, strict, id=f"{run}-{'strict' if strict else 'skip'}")
+     for run in _DEEP_RUNS for strict in (False, True) if strict or run != "eval-seg"],
+)
+def test_deeply_nested_line_is_a_record_error(tmp_path, run, strict):
+    command = _DEEP_RUNS[run]
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORDS[command[0]]) + "\n" + "[" * 100000 + "\n")
+    argv = [part.format(input=path, output=tmp_path / "out.jsonl") for part in command]
+    # eval-seg has no skip mode: every bad line fails it.
+    result = _run_cli(argv + ["--strict"] * (strict and run != "eval-seg"))
+    if strict:
+        assert result.returncode == 2, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"{command[0]}: line 2: invalid json: ")
+        assert result.stdout == ""
+        assert os.listdir(tmp_path) == ["deep.jsonl"]
+        return
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads(result.stderr.splitlines()[-1])
+    assert manifest["records"] == 1 and manifest["errors"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "plain"])
+def test_crlf_and_cr_line_endings_read_like_lf(tmp_path, capsys, fmt):
+    rng = random.Random(5)
+    dialogues = [synthetic_dialogue(f"d{i}", 5, rng) for i in range(20)]
+    if fmt == "jsonl":
+        text = "".join(dialogue_to_json_line(d) + "\n" for d in dialogues)
+    else:
+        text = "\n".join(
+            "".join(f"{t.speaker}: {t.utterance}\n" for t in d.turns) for d in dialogues
+        )
+    outcomes = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        corpus = tmp_path / f"{name}.txt"
+        corpus.write_bytes(text.replace("\n", newline).encode())
+        assert main(["stats", str(corpus), "--format", fmt]) == 0
+        stats_rows, _ = _stdout_rows(capsys)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{name}{workers}.out"
+            argv = ["corrupt", str(corpus), str(out), "--format", fmt, "--workers", workers]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        outcomes[name] = (stats_rows, outputs)
+    assert outcomes["lf"][0][0]["dialogue_count"] == 20
+    assert outcomes["crlf"] == outcomes["lf"] == outcomes["cr"]
 
 
 _POOL_ERRORS_CHILD = """

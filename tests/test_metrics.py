@@ -20,6 +20,7 @@ from dialogkit.metrics import (
     rouge_n,
     segmentation_to_labels,
     windiff,
+    _lcs_ref_positions,
     _normalize_tokens,
 )
 
@@ -317,6 +318,38 @@ def test_lcs_never_exceeds_clipped_unigram_overlap():
 
         overlap = sum((Counter(cand) & Counter(ref)).values())
         assert lcs_length(cand, ref) <= overlap
+
+
+def _classic_ref_positions(ref: list[str], cand: list[str]) -> set[int]:
+    """Backtrack a textbook LCS table with the same tie-break as rouge_l:
+    on ``>=`` drop a reference token."""
+    table = [[0] * (len(cand) + 1) for _ in range(len(ref) + 1)]
+    for i in range(1, len(ref) + 1):
+        for j in range(1, len(cand) + 1):
+            if ref[i - 1] == cand[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    positions, i, j = set(), len(ref), len(cand)
+    while i > 0 and j > 0:
+        if ref[i - 1] == cand[j - 1]:
+            positions.add(i - 1)
+            i, j = i - 1, j - 1
+        elif table[i - 1][j] >= table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    return positions
+
+
+# Three tokens make ties between the two backtracking moves common.
+_small_vocab_tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_vocab_tokens, _small_vocab_tokens)
+def test_lcs_ref_positions_match_classic_backtrack(ref, cand):
+    assert _lcs_ref_positions(ref, cand) == _classic_ref_positions(ref, cand)
 
 
 def test_mean_scores():
