@@ -14,10 +14,10 @@ backward functions. Each ``*_backward`` takes the forward inputs plus the
 output cotangent and returns input cotangents; :func:`gradient_check`
 compares any such pair against central finite differences. No autograd
 framework is involved, which keeps the kernels auditable and the derivative
-tests honest. The sparse layer's forward and backward share one batched
-core that handles every block at once. Full attention runs in query chunks:
-its forward and backward never hold more than a few chunk-by-L arrays, so
-memory is O(L·chunk) rather than O(L²).
+tests honest. Both layer kinds share one masked row softmax and its
+pullback: the sparse layer runs them once over all blocks, the full layer
+once per query chunk, so it never holds more than a few chunk-by-L arrays
+and memory is O(L·chunk) rather than O(L²).
 
 Sorting matrices are plain float arrays. After ``iterations`` Sinkhorn
 passes plus one closing row pass, every row sums to 1 within 1e-6 and
@@ -66,8 +66,8 @@ class AttentionSpec:
         object.__setattr__(self, "full_attention_layers", layers)
         if self.sinkhorn_iterations < 1:
             raise ValueError("sinkhorn_iterations must be at least 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and positive")
 
     @property
     def padded_len(self) -> int:
@@ -105,8 +105,8 @@ def _sinkhorn_tape(
         raise ValueError("logits must be finite")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise ValueError("temperature must be finite and positive")
     a = logits / temperature
     tape: list[tuple[np.ndarray, int]] = []
     for axis in (1, 0) * iterations + (1,):
@@ -166,25 +166,51 @@ def _check_d_out(d_out: np.ndarray, q: np.ndarray) -> np.ndarray:
     return d_out
 
 
+def _softmax(
+    scaled_q: np.ndarray, k: np.ndarray, valid: np.ndarray | None = None
+) -> np.ndarray:
+    """Attention weights: the row softmax of scaled_q kᵀ, for one (rows, d)
+    query chunk or a batch of blocks. ``valid`` broadcasts against the
+    scores; a masked column weighs 0 and a row with no valid column is all
+    zero, never NaN."""
+    weights = scaled_q @ np.swapaxes(k, -1, -2)
+    if valid is not None:
+        np.copyto(weights, -np.inf, where=~valid)
+    peak = weights.max(axis=-1, keepdims=True)
+    peak[np.isneginf(peak)] = 0.0
+    weights -= peak
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=-1, keepdims=True)
+    total[total == 0.0] = 1.0
+    weights /= total
+    return weights
+
+
+def _softmax_pullback(
+    scaled_q: np.ndarray, k: np.ndarray, v: np.ndarray, weights: np.ndarray, d_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cotangents (d_scaled_q, d_k, d_v) of weights @ v, where weights is
+    _softmax(scaled_q, k, ...). Masked entries weigh 0 and so pull back 0."""
+    d_v = np.swapaxes(weights, -1, -2) @ d_out
+    d_logits = d_out @ np.swapaxes(v, -1, -2)
+    d_logits -= (weights * d_logits).sum(axis=-1, keepdims=True)
+    d_logits *= weights
+    return d_logits @ k, np.swapaxes(d_logits, -1, -2) @ scaled_q, d_v
+
+
 # Full attention walks the queries in chunks of rows sized so that one
 # chunk of scores holds about this many float64 entries (2 MB), whatever
 # the sequence length; no L x L array is ever allocated.
 _CHUNK_ENTRIES = 2**18
 
 
-def _full_chunks(q: np.ndarray, k: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Softmax rows of q kᵀ / sqrt(d), one query chunk at a time, as
-    (rows, weights) pairs. Every chunk holds whole key rows, so each row is
-    normalized on its own with no running log-sum-exp."""
-    scaled = q * (1.0 / math.sqrt(q.shape[1]))
-    step = max(1, _CHUNK_ENTRIES // len(k))
-    for start in range(0, len(q), step):
+def _query_chunks(scaled_q: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, scaled_q[rows]) per query chunk. Every chunk holds whole key
+    rows, so each row is normalized on its own with no running log-sum-exp."""
+    step = max(1, _CHUNK_ENTRIES // len(scaled_q))
+    for start in range(0, len(scaled_q), step):
         rows = slice(start, start + step)
-        weights = scaled[rows] @ k.T
-        weights -= weights.max(axis=1, keepdims=True)
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=1, keepdims=True)
-        yield rows, weights
+        yield rows, scaled_q[rows]
 
 
 def full_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,8 +218,8 @@ def full_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     O(L·chunk) memory."""
     q, k, v = _check_qkv(q, k, v)
     out = np.empty_like(v)
-    for rows, weights in _full_chunks(q, k):
-        out[rows] = weights @ v
+    for rows, scaled_q in _query_chunks(q * (1.0 / math.sqrt(q.shape[1]))):
+        out[rows] = _softmax(scaled_q, k) @ v
     return out
 
 
@@ -204,19 +230,14 @@ def full_attention_backward(
     chunk's weights instead of keeping them."""
     q, k, v = _check_qkv(q, k, v)
     d_out = _check_d_out(d_out, q)
-    d_q = np.empty_like(q)
-    d_k = np.zeros_like(k)
-    d_v = np.zeros_like(v)
-    for rows, weights in _full_chunks(q, k):
-        d_v += weights.T @ d_out[rows]
-        d_logits = d_out[rows] @ v.T
-        d_logits -= (weights * d_logits).sum(axis=1, keepdims=True)
-        d_logits *= weights
-        d_q[rows] = d_logits @ k
-        d_k += d_logits.T @ q[rows]
     scale = 1.0 / math.sqrt(q.shape[1])
+    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    for rows, scaled_q in _query_chunks(q * scale):
+        weights = _softmax(scaled_q, k)
+        d_q[rows], part_k, part_v = _softmax_pullback(scaled_q, k, v, weights, d_out[rows])
+        d_k += part_k
+        d_v += part_v
     d_q *= scale
-    d_k *= scale
     return d_q, d_k, d_v
 
 
@@ -340,32 +361,22 @@ def _sparse_weights(
     sorting: np.ndarray,
     n_real: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shared core of the sparse layer: all blocks at once, on checked
-    inputs.
+    """The sparse layer's forward on checked inputs, all blocks at once.
 
-    Returns (qb, cat_k, cat_v, weights). qb is the padded queries as
-    (num_blocks, block_size, model_dim); cat_k and cat_v hold each block's
-    own keys/values followed by its mixed ones. weights is (num_blocks,
-    block_size, 2 * block_size) and exactly zero at invalid columns and in
-    every row that has no valid column at all, so the blocked output is
-    weights @ cat_v, with rows from n_real on still to be zeroed.
+    Returns (scaled_qb, cat_k, cat_v, weights). scaled_qb is the padded
+    queries over sqrt(d) as (num_blocks, block_size, model_dim); cat_k and
+    cat_v hold each block's own keys/values followed by its mixed ones.
+    weights is (num_blocks, block_size, 2 * block_size) from _softmax, zero
+    at invalid columns and in every row with no valid column, so the
+    blocked output is weights @ cat_v, with rows from n_real on still to be
+    zeroed.
     """
     real = _real_blocks(spec, n_real)
     valid = np.concatenate([real, sorting @ real], axis=1) > 0.0
-    qb = _pad_blocks(q, spec, n_real)
+    scaled_qb = _pad_blocks(q * (1.0 / math.sqrt(spec.model_dim)), spec, n_real)
     cat_k = _own_and_mixed(k, spec, sorting, n_real)
     cat_v = _own_and_mixed(v, spec, sorting, n_real)
-    weights = qb @ cat_k.transpose(0, 2, 1)
-    weights *= 1.0 / math.sqrt(spec.model_dim)
-    np.copyto(weights, -np.inf, where=~valid[:, None, :])
-    peak = weights.max(axis=2, keepdims=True)
-    peak[np.isneginf(peak)] = 0.0
-    weights -= peak
-    np.exp(weights, out=weights)
-    total = weights.sum(axis=2, keepdims=True)
-    total[total == 0.0] = 1.0
-    weights /= total
-    return qb, cat_k, cat_v, weights
+    return scaled_qb, cat_k, cat_v, _softmax(scaled_qb, cat_k, valid[:, None, :])
 
 
 def _pull_back_mix(
@@ -413,26 +424,14 @@ def sinkhorn_attention_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_q, d_k, d_v, d_sorting) of sinkhorn_attention."""
     q, k, v, sorting, n_real = _check_attention_args(q, k, v, spec, sorting, n_real)
-    qb, cat_k, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
-    scale = 1.0 / math.sqrt(spec.model_dim)
+    scaled_qb, cat_k, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
     d_outb = _pad_blocks(_check_d_out(d_out, q), spec, n_real)
-    d_cat_v = weights.transpose(0, 2, 1) @ d_outb
-    d_logits = d_outb @ cat_v.transpose(0, 2, 1)
-    d_logits -= (weights * d_logits).sum(axis=2, keepdims=True)
-    d_logits *= weights
-    d_qb = d_logits @ cat_k
-    d_qb *= scale
-    d_cat_k = d_logits.transpose(0, 2, 1) @ qb
-    d_cat_k *= scale
+    d_qb, d_cat_k, d_cat_v = _softmax_pullback(scaled_qb, cat_k, cat_v, weights, d_outb)
+    d_qb *= 1.0 / math.sqrt(spec.model_dim)
     d_kb, d_sorting = _pull_back_mix(d_cat_k, cat_k, sorting)
     d_vb, d_sorting_v = _pull_back_mix(d_cat_v, cat_v, sorting)
     d_sorting += d_sorting_v
-    return (
-        _unpad(d_qb, spec, n_real),
-        _unpad(d_kb, spec, n_real),
-        _unpad(d_vb, spec, n_real),
-        d_sorting,
-    )
+    return (*(_unpad(d_m, spec, n_real) for d_m in (d_qb, d_kb, d_vb)), d_sorting)
 
 
 def mean_pool_blocks(

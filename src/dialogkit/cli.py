@@ -80,6 +80,17 @@ _SEED_ENV = "DIALOGKIT_SEED"
 # Raw records per task sent to a ``corrupt --workers N`` pool worker.
 _CHUNK_RECORDS = 16
 
+_DESCRIPTION = f"""\
+Dialogue corpus tooling: corpus statistics, windowed denoising examples,
+segmentation and summary scores, and the attention invariant suite. Run
+"dialogkit <command> --help" for a command's options.
+
+Exit codes: 0 success, 1 usage error, 2 data error (a malformed record
+under --strict, input that is not UTF-8, evaluation files that cannot be
+scored), 3 invariant failure.
+
+The seed defaults to 0; {_SEED_ENV} overrides it and --seed overrides both."""
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; remap to 1 to keep 2
@@ -403,6 +414,8 @@ def cmd_attn_check(args: argparse.Namespace) -> _Result:
     # Imported here so that the other commands never load numpy.
     from . import attention
 
+    if args.seed < 0:
+        raise _Failure(EXIT_USAGE, f"seed must be non-negative, not {args.seed}")
     spec = _configured(
         attention.AttentionSpec,
         seq_len=args.seq_len,
@@ -428,7 +441,11 @@ def cmd_attn_check(args: argparse.Namespace) -> _Result:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dialogkit", description=__doc__)
+    parser = _Parser(
+        prog="dialogkit",
+        description=_DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument("--version", action="version", version=f"dialogkit {__version__}")
     parser.add_argument(
         "--pretty", action="store_true", help="indent json output for reading"

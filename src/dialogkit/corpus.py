@@ -127,7 +127,9 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
 
     ``jsonl`` yields ``(line_no, line)`` per non-blank line; ``plain`` yields
     ``(first_line_no, block)`` per blank-line-separated block, where a block
-    is a list of ``(line_no, line)``.
+    is a list of ``(line_no, line)``. A read error (a line that is not
+    UTF-8, or an I/O error) mid-block first yields the block read so far,
+    so that block's own errors, on earlier lines, come first.
     """
     if format == "jsonl":
         for line_no, raw in enumerate(lines, 1):
@@ -136,13 +138,18 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
                 yield line_no, line
         return
     block: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if line.strip():
-            block.append((line_no, line))
-        elif block:
+    try:
+        for line_no, raw in enumerate(lines, 1):
+            line = raw.rstrip("\n")
+            if line.strip():
+                block.append((line_no, line))
+            elif block:
+                yield block[0][0], block
+                block = []
+    except (RecordError, OSError):
+        if block:
             yield block[0][0], block
-            block = []
+        raise
     if block:
         yield block[0][0], block
 
@@ -150,7 +157,8 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
 def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
     """Stage 2: one raw record from :func:`split_records` as a :func:`screen`
     outcome, ``(line_no, id, dialogue)``, or ``(line_no, None, error)`` with
-    the :class:`RecordError` itself, which keeps the line it was raised at.
+    a fresh copy of the :class:`RecordError`, which keeps the line it was
+    raised at but not its traceback, cause or their frames.
 
     ``index`` is the record's 0-based position, which names a plain block.
     Depends on nothing but its arguments, so pool workers call it on records
@@ -162,7 +170,7 @@ def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
         else:
             dialogue = _dialogue_from_block(payload, index)
     except RecordError as err:
-        return line_no, None, err
+        return line_no, None, RecordError(err.line_no, err.reason, err.dialogue_id)
     return line_no, dialogue.id, dialogue
 
 

@@ -131,6 +131,14 @@ def test_sinkhorn_rejects_bad_input():
         sinkhorn_normalize(np.zeros((2, 2)), 2, temperature=-1.0)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+def test_temperature_must_be_finite_and_positive(temperature):
+    with pytest.raises(ValueError, match="finite and positive"):
+        AttentionSpec(seq_len=8, model_dim=4, block_size=4, temperature=temperature)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sinkhorn_normalize(np.zeros((2, 2)), 2, temperature=temperature)
+
+
 def test_sinkhorn_permutation_equivariance():
     rng = np.random.default_rng(2)
     logits = rng.standard_normal((6, 6))

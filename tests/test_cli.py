@@ -101,6 +101,19 @@ def test_version_flag(capsys):
     assert "dialogkit" in capsys.readouterr().out
 
 
+def test_help_is_for_users_not_the_module_docstring(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("stats", "corrupt", "eval-seg", "eval-rouge", "attn-check"):
+        assert command in out
+    assert "Exit codes: 0 success, 1 usage error, 2 data error" in out
+    assert "3 invariant failure" in out
+    assert "The seed defaults to 0; DIALOGKIT_SEED overrides it" in out
+    assert "_read_lines" not in out and ":func:" not in out
+
+
 def _corrupt_digest(path) -> str:
     lines = sorted(path.read_text(encoding="utf-8").splitlines())
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -275,6 +288,10 @@ def _bad_corpora() -> dict[str, tuple[str, bytes]]:
     blocks = [
         "\n".join(f"{t.speaker}: {t.utterance}" for t in d.turns).encode() for d in good
     ]
+    # A reserved token early in a block whose later line is not UTF-8:
+    # --strict must still report the token's line, which comes first.
+    plain_utf8 = list(blocks)
+    plain_utf8[10] = "Ann: has [MASK] here.\nBob: ok.\nBob: caf\u00e9.".encode("latin-1")
     blocks[18] = b"Ann: fine.\nBob: has [MASK] inside."
     return {
         "bad-json": ("jsonl", b"\n".join(bad_json) + b"\n"),
@@ -282,6 +299,7 @@ def _bad_corpora() -> dict[str, tuple[str, bytes]]:
         "not-utf8": ("jsonl", b"\n".join(not_utf8) + b"\n"),
         "not-utf8-next": ("jsonl", b"\n".join(utf8_next) + b"\n"),
         "plain": ("plain", b"\n\n".join(blocks) + b"\n"),
+        "plain-not-utf8": ("plain", b"\n\n".join(plain_utf8) + b"\n"),
     }
 
 
@@ -317,12 +335,15 @@ _FIRST_ERRORS = {
     ("not-utf8-next", False): "corrupt: line 9: not valid utf-8 ",
     ("not-utf8-next", True): "corrupt: line 8: invalid json: ",
     ("plain", True): "corrupt: line 92 (dialogue '18'): reserved token [MASK] appears in corpus text",
+    ("plain-not-utf8", False): "corrupt: line 53: not valid utf-8 ",
+    ("plain-not-utf8", True):
+        "corrupt: line 51 (dialogue '10'): reserved token [MASK] appears in corpus text",
 }
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
 @pytest.mark.parametrize(
-    "case", ["bad-json", "duplicate-id", "not-utf8", "not-utf8-next", "plain"]
+    "case", ["bad-json", "duplicate-id", "not-utf8", "not-utf8-next", "plain", "plain-not-utf8"]
 )
 def test_corrupt_workers_match_one_worker_on_bad_input(tmp_path, case, strict):
     runs = {w: _corrupt_in_subprocess(tmp_path, case, w, strict) for w in ("1", "2")}
@@ -341,6 +362,20 @@ def test_corrupt_workers_match_one_worker_on_bad_input(tmp_path, case, strict):
         del manifest["duration_s"], manifest["config"]["workers"], manifest["outputs"]
     assert manifests[0] == manifests[1]
     assert manifests[0]["errors"] == {"bad-json": 2, "duplicate-id": 1, "plain": 1}[case]
+
+
+@pytest.mark.parametrize("poisson_lambda", ["nan", "inf", "800"])
+def test_corrupt_rejects_a_poisson_lambda_the_sampler_cannot_use(
+    tmp_path, corpus_path, poisson_lambda
+):
+    # exp(-800) underflows to 0.0, which the sampler's running product of
+    # uniforms never drops below; a subprocess so that a hang fails the test.
+    out = tmp_path / "out.jsonl"
+    result = _run_cli(["corrupt", str(corpus_path), str(out), "--poisson-lambda", poisson_lambda])
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line.startswith("corrupt: poisson_lambda must be non-negative")
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl"]
 
 
 _GOOD_RECORDS = {
@@ -693,6 +728,25 @@ def test_attn_check_block_size_at_least_seq_len(capsys):
     rows, _ = _stdout_rows(capsys)
     single = next(r for r in rows if r["check"] == "single_block_vs_full")
     assert single["pass"]
+
+
+@pytest.mark.parametrize(
+    "flags, env_seed, message",
+    [
+        (["--temperature", "nan"], None, "attn-check: temperature must be finite and positive"),
+        (["--temperature", "inf"], None, "attn-check: temperature must be finite and positive"),
+        (["--seed", "-1"], None, "attn-check: seed must be non-negative, not -1"),
+        ([], "-1", "attn-check: seed must be non-negative, not -1"),
+    ],
+    ids=["nan-temperature", "inf-temperature", "negative-seed", "negative-env-seed"],
+)
+def test_attn_check_bad_number_is_usage_error(capsys, monkeypatch, flags, env_seed, message):
+    if env_seed is not None:
+        monkeypatch.setenv("DIALOGKIT_SEED", env_seed)
+    assert main(["attn-check", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 def test_attn_check_invalid_spec_is_usage_error(capsys):

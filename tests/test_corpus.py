@@ -56,21 +56,21 @@ def test_serialized_dialogue_survives_ingest(dialogue):
     assert from_plain.turns == dialogue.turns
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "not json",
-        json.dumps({"id": "a"}),
-        json.dumps({"id": "", "turns": [{"utterance": "x."}]}),
-        json.dumps({"id": "a", "turns": []}),
-        json.dumps({"id": "a", "turns": [{"speaker": "T"}]}),
-        json.dumps({"id": "a", "turns": [{"utterance": "  "}]}),
-        json.dumps({"id": "a", "turns": [{"speaker": 3, "utterance": "x."}]}),
-        json.dumps({"id": 7, "turns": [{"utterance": "x."}]}),
-        json.dumps({"id": "a", "turns": [{"utterance": "has [MASK] inside."}]}),
-        json.dumps({"id": "a", "turns": [{"speaker": "a:b", "utterance": "x."}]}),
-    ],
-)
+MALFORMED = [
+    "not json",
+    json.dumps({"id": "a"}),
+    json.dumps({"id": "", "turns": [{"utterance": "x."}]}),
+    json.dumps({"id": "a", "turns": []}),
+    json.dumps({"id": "a", "turns": [{"speaker": "T"}]}),
+    json.dumps({"id": "a", "turns": [{"utterance": "  "}]}),
+    json.dumps({"id": "a", "turns": [{"speaker": 3, "utterance": "x."}]}),
+    json.dumps({"id": 7, "turns": [{"utterance": "x."}]}),
+    json.dumps({"id": "a", "turns": [{"utterance": "has [MASK] inside."}]}),
+    json.dumps({"id": "a", "turns": [{"speaker": "a:b", "utterance": "x."}]}),
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED)
 def test_ingest_raises_on_malformed(line):
     with pytest.raises(RecordError):
         list(ingest([line], "jsonl"))
@@ -83,6 +83,19 @@ def test_ingest_skip_mode_collects_errors():
     assert [d.id for d in dialogues] == ["a", "b"]
     assert len(errors) == 1
     assert errors[0].line_no == 2
+
+
+def test_skipped_errors_hold_no_traceback_or_chained_exception():
+    # A kept traceback holds its frames, and a chained JSONDecodeError its
+    # own, for as long as the error list lives.
+    lines = [*MALFORMED, "[" * 100000, *_jsonl([GOOD[1], GOOD[1]])]
+    blocks = ["Ann: fine.", "Bob: has [MASK] inside.", "", "Ann: ok."]
+    errors: list[RecordError] = []
+    list(ingest(lines, "jsonl", on_error="skip", errors_out=errors))
+    list(ingest(blocks, "plain", on_error="skip", errors_out=errors))
+    assert len(errors) == len(MALFORMED) + 3
+    for err in errors:
+        assert (err.__traceback__, err.__cause__, err.__context__) == (None, None, None)
 
 
 def test_ingest_rejects_duplicate_ids_with_line_number():

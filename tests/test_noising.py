@@ -87,11 +87,20 @@ def test_sample_poisson_small_mean_sanity():
         {"infill_rate": 1.1},
         {"poisson_lambda": -1.0},
         {"min_merge_turns": 1},
+        {"poisson_lambda": math.nan},
+        {"poisson_lambda": math.inf},
+        {"poisson_lambda": 746.0},
     ],
 )
 def test_noise_config_validation(kwargs):
     with pytest.raises(ValueError):
         NoiseConfig(**kwargs)
+
+
+def test_noise_config_accepts_lambda_while_exp_minus_lambda_is_positive():
+    # exp(-746) underflows to 0.0, where the Poisson sampler would never stop.
+    assert math.exp(-745.0) > 0.0 == math.exp(-746.0)
+    assert NoiseConfig(poisson_lambda=745.0).poisson_lambda == 745.0
 
 
 def _counting_dialogue():
