@@ -193,7 +193,7 @@ def _softmax_pullback(
     _softmax(scaled_q, k, ...). Masked entries weigh 0 and so pull back 0."""
     d_v = np.swapaxes(weights, -1, -2) @ d_out
     d_logits = d_out @ np.swapaxes(v, -1, -2)
-    d_logits -= (weights * d_logits).sum(axis=-1, keepdims=True)
+    d_logits -= np.einsum("...ij,...ij->...i", weights, d_logits)[..., None]
     d_logits *= weights
     return d_logits @ k, np.swapaxes(d_logits, -1, -2) @ scaled_q, d_v
 
@@ -233,8 +233,9 @@ def full_attention_backward(
     scale = 1.0 / math.sqrt(q.shape[1])
     d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
     for rows, scaled_q in _query_chunks(q * scale):
-        weights = _softmax(scaled_q, k)
-        d_q[rows], part_k, part_v = _softmax_pullback(scaled_q, k, v, weights, d_out[rows])
+        d_q[rows], part_k, part_v = _softmax_pullback(
+            scaled_q, k, v, _softmax(scaled_q, k), d_out[rows]
+        )
         d_k += part_k
         d_v += part_v
     d_q *= scale
@@ -373,7 +374,8 @@ def _sparse_weights(
     """
     real = _real_blocks(spec, n_real)
     valid = np.concatenate([real, sorting @ real], axis=1) > 0.0
-    scaled_qb = _pad_blocks(q * (1.0 / math.sqrt(spec.model_dim)), spec, n_real)
+    scaled_qb = _pad_blocks(q, spec, n_real)
+    scaled_qb *= 1.0 / math.sqrt(spec.model_dim)
     cat_k = _own_and_mixed(k, spec, sorting, n_real)
     cat_v = _own_and_mixed(v, spec, sorting, n_real)
     return scaled_qb, cat_k, cat_v, _softmax(scaled_qb, cat_k, valid[:, None, :])
@@ -431,7 +433,12 @@ def sinkhorn_attention_backward(
     d_kb, d_sorting = _pull_back_mix(d_cat_k, cat_k, sorting)
     d_vb, d_sorting_v = _pull_back_mix(d_cat_v, cat_v, sorting)
     d_sorting += d_sorting_v
-    return (*(_unpad(d_m, spec, n_real) for d_m in (d_qb, d_kb, d_vb)), d_sorting)
+    return (
+        _unpad(d_qb, spec, n_real),
+        _unpad(d_kb, spec, n_real),
+        _unpad(d_vb, spec, n_real),
+        d_sorting,
+    )
 
 
 def mean_pool_blocks(

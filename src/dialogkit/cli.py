@@ -198,13 +198,14 @@ def _corrupt_records(task: tuple) -> list[tuple]:
     """Pool worker: parse a chunk of raw records and build their examples.
 
     Returns one :func:`screen` outcome per record, with the example lines in
-    place of the dialogue; a :class:`RecordError` crosses back as it is.
+    place of the dialogue; a :class:`RecordError` or None crosses back as it
+    is.
     """
     format, records, cfg, examples_per_dialogue = task
     outcomes = []
     for index, line_no, payload in records:
         line_no, dialogue_id, value = parse_outcome(format, line_no, payload, index)
-        if not isinstance(value, RecordError):
+        if value is not None and not isinstance(value, RecordError):
             value = _corrupt_one(value, cfg, examples_per_dialogue)
         outcomes.append((line_no, dialogue_id, value))
     return outcomes

@@ -122,14 +122,20 @@ def _dialogue_from_block(block: list[tuple[int, str]], block_index: int) -> Dial
     return Dialogue(dialogue_id, tuple(turns))
 
 
+class _CutBlock(list):
+    """A plain block cut short by a read error. Its errors are reported, in
+    order, but it never passes as a dialogue: its lines are not all there."""
+
+
 def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, object]]:
     """Stage 1: cut text lines into raw records, parsing nothing.
 
     ``jsonl`` yields ``(line_no, line)`` per non-blank line; ``plain`` yields
     ``(first_line_no, block)`` per blank-line-separated block, where a block
     is a list of ``(line_no, line)``. A read error (a line that is not
-    UTF-8, or an I/O error) mid-block first yields the block read so far,
-    so that block's own errors, on earlier lines, come first.
+    UTF-8, or an I/O error) mid-block first yields the block read so far as
+    a ``_CutBlock``, so that block's own errors, on earlier lines, come
+    first; :func:`parse_outcome` never turns it into a dialogue.
     """
     if format == "jsonl":
         for line_no, raw in enumerate(lines, 1):
@@ -148,7 +154,7 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
                 block = []
     except (RecordError, OSError):
         if block:
-            yield block[0][0], block
+            yield block[0][0], _CutBlock(block)
         raise
     if block:
         yield block[0][0], block
@@ -158,7 +164,8 @@ def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
     """Stage 2: one raw record from :func:`split_records` as a :func:`screen`
     outcome, ``(line_no, id, dialogue)``, or ``(line_no, None, error)`` with
     a fresh copy of the :class:`RecordError`, which keeps the line it was
-    raised at but not its traceback, cause or their frames.
+    raised at but not its traceback, cause or their frames. A ``_CutBlock``
+    that parses gives ``(line_no, None, None)``, which :func:`screen` drops.
 
     ``index`` is the record's 0-based position, which names a plain block.
     Depends on nothing but its arguments, so pool workers call it on records
@@ -171,6 +178,8 @@ def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
             dialogue = _dialogue_from_block(payload, index)
     except RecordError as err:
         return line_no, None, RecordError(err.line_no, err.reason, err.dialogue_id)
+    if isinstance(payload, _CutBlock):
+        return line_no, None, None
     return line_no, dialogue.id, dialogue
 
 
@@ -182,15 +191,18 @@ def screen(
     """Stage 3: apply the duplicate-id check and the error policy in order.
 
     ``outcomes`` are ``(line_no, id, value)`` per record, where ``value`` is
-    the :class:`RecordError` of a record that failed to parse. The value of
-    each record that passes is yielded. ``on_error="raise"`` raises the first
-    :class:`RecordError`; ``"skip"`` appends it to ``errors_out`` when given.
+    the :class:`RecordError` of a record that failed to parse, or None for
+    a record to drop unseen. The value of each record that passes is
+    yielded. ``on_error="raise"`` raises the first :class:`RecordError`;
+    ``"skip"`` appends it to ``errors_out`` when given.
     The id set kept for the duplicate check is the only per-corpus state.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"unknown error policy {on_error!r}")
     seen_ids: set[str] = set()
     for line_no, dialogue_id, value in outcomes:
+        if value is None:
+            continue
         if isinstance(value, RecordError):
             err = value
         elif dialogue_id in seen_ids:
@@ -216,7 +228,9 @@ def ingest(
     The three stages in one process: :func:`split_records`,
     :func:`parse_outcome` and :func:`screen`. ``on_error="raise"`` aborts on
     the first bad record; ``"skip"`` drops it, appending to ``errors_out``
-    when given. Duplicate ids are record errors.
+    when given. Duplicate ids are record errors. An error raised by
+    ``lines`` itself propagates after every record before it; a ``plain``
+    block it cuts short is screened for its errors but never yielded.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")

@@ -79,23 +79,21 @@ def _example_seed(global_seed: int, dialogue_id: str, example_index: int) -> int
     return derive_seed(global_seed, f"{dialogue_id}#{example_index}")
 
 
-def _poisson_lambda_ends(lam: float) -> bool:
-    """Whether Knuth's method ends for ``lam``: not NaN, not negative, and
-    exp(-lam) above 0.0, which holds up to about 745.1."""
-    return lam >= 0 and math.exp(-lam) > 0.0
-
-
 def sample_poisson(lam: float, rng: random.Random) -> int:
     """Poisson draw by Knuth's multiplication method.
 
     Multiplies uniforms until the running product drops below exp(-lam);
-    consumes result+1 draws from the stream.
+    consumes result+1 draws from the stream. The product never drops below
+    a limit of 0.0, so lambda past about 745.1, where exp(-lam) underflows,
+    is rejected with NaN and negative values.
     """
-    if not _poisson_lambda_ends(lam):
-        raise ValueError("lambda must be non-negative with exp(-lambda) > 0 (at most ~745)")
+    if not lam >= 0:
+        raise ValueError("lambda must be non-negative")
     if lam == 0:
         return 0
     limit = math.exp(-lam)
+    if limit == 0.0:
+        raise ValueError("lambda must be at most ~745 so that exp(-lambda) > 0")
     count = 0
     product = rng.random()
     while product >= limit:
@@ -123,7 +121,7 @@ class NoiseConfig:
             raise ValueError("speaker_mask_prob must be in [0, 1]")
         if not 0.0 <= self.infill_rate <= 1.0:
             raise ValueError("infill_rate must be in [0, 1]")
-        if not _poisson_lambda_ends(self.poisson_lambda):
+        if not (self.poisson_lambda >= 0 and math.exp(-self.poisson_lambda) > 0.0):
             raise ValueError(
                 "poisson_lambda must be non-negative with exp(-poisson_lambda) > 0 (at most ~745)"
             )

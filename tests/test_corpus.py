@@ -116,6 +116,36 @@ def test_ingest_plain_reports_the_bad_line_inside_a_block():
     assert [(e.line_no, e.dialogue_id) for e in errors] == [(2, "0")]
 
 
+def _then_raise(lines, error):
+    yield from lines
+    raise error
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip"])
+def test_plain_block_cut_by_a_read_error_never_passes(on_error):
+    lines = _then_raise(["Ann: whole.", "", "Bob: cut", "Ann: short."], OSError("gone"))
+    got: list[str] = []
+    errors: list[RecordError] = []
+    with pytest.raises(OSError):
+        for dialogue in ingest(lines, "plain", on_error=on_error, errors_out=errors):
+            got.append(dialogue.id)
+    assert got == ["0"]
+    assert errors == []
+
+
+def test_plain_block_cut_by_a_read_error_reports_its_own_errors_first():
+    block = ["Ann: has [MASK] here.", "Bob: ok."]
+    with pytest.raises(RecordError) as excinfo:
+        list(ingest(_then_raise(block, RecordError(3, "not valid utf-8")), "plain"))
+    assert excinfo.value.line_no == 1
+    errors: list[RecordError] = []
+    lines = _then_raise(block, RecordError(3, "not valid utf-8"))
+    with pytest.raises(RecordError) as excinfo:
+        list(ingest(lines, "plain", on_error="skip", errors_out=errors))
+    assert excinfo.value.line_no == 3
+    assert [(e.line_no, e.dialogue_id) for e in errors] == [(1, "0")]
+
+
 @pytest.mark.parametrize("dialogue_id", ["d1", None])
 def test_record_error_survives_pickling(dialogue_id):
     err = RecordError(3, "x", dialogue_id)
