@@ -101,13 +101,14 @@ def _sinkhorn_tape(
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise ValueError("logits must be a square matrix")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if not 0 < temperature < math.inf:
         raise ValueError("temperature must be finite and positive")
-    a = logits / temperature
+    with np.errstate(over="ignore"):
+        a = logits / temperature
+    if not np.all(np.isfinite(a)):
+        raise ValueError("logits / temperature must be finite")
     tape: list[tuple[np.ndarray, int]] = []
     for axis in (1, 0) * iterations + (1,):
         a = a - _logsumexp(a, axis)

@@ -334,6 +334,8 @@ def _random_baseline(reference: Segmentation, rng: random.Random) -> Segmentatio
 
 
 def cmd_eval_seg(args: argparse.Namespace) -> _Result:
+    if args.k is not None and args.k < 1:
+        raise _Failure(EXIT_USAGE, "--k must be at least 1")
     references = _load_labeled_segmentations(args.reference)
     hypotheses = _load_labeled_segmentations(args.hypothesis)
     if set(references) != set(hypotheses):
@@ -425,7 +427,10 @@ def cmd_attn_check(args: argparse.Namespace) -> _Result:
         sinkhorn_iterations=args.sinkhorn_iterations,
         temperature=args.temperature,
     )
-    checks = attention._attention_checks(spec, args.seed)
+    try:
+        checks = attention._attention_checks(spec, args.seed)
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, str(exc)) from exc
     failed = [c["check"] for c in checks if not c["pass"]]
     if failed:
         print(f"attn-check: failed: {', '.join(failed)}", file=sys.stderr)

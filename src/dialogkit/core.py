@@ -1,10 +1,11 @@
 """Dialogue data model and canonical text serialization.
 
 A dialogue is an ordered, non-empty list of turns; a turn is an optional
-speaker plus one or more sentences. Serialization is the single place where
-turns become text, which keeps token accounting additive: tokenizing a
-serialized dialogue yields exactly the concatenation of the per-turn tokens,
-speaker prefixes included.
+speaker plus one or more sentences. :class:`Turn` is the single place where
+text becomes sentences, so a turn's sentences have one fixed form, and
+serialization is the single place where turns become text. Together
+they keep token accounting additive: tokenizing a serialized dialogue yields
+exactly the concatenation of the per-turn tokens, speaker prefixes included.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ def split_sentences(utterance: str) -> list[str]:
 class Turn:
     """One turn: an optional speaker name and a non-empty tuple of sentences.
 
-    Sentences are whitespace-normalized on construction. Speakers may not
-    contain the turn separator (newline) or a colon, so the serialized form
-    stays parseable.
+    The strings given are joined with spaces and cut by
+    :func:`split_sentences`, so ``Turn(speaker, (text,))`` builds a turn
+    from text and its sentences depend on the utterance alone:
+    ``parse_turn_line(serialize_turn(turn))`` gives back every turn that has
+    a speaker. Speakers are whitespace-normalized and may not contain a
+    colon, so the serialized form stays parseable.
     """
 
     speaker: str | None
@@ -66,10 +70,10 @@ class Turn:
             object.__setattr__(self, "speaker", cleaned_speaker)
         if not self.sentences:
             raise ValueError("turn has no sentences")
-        cleaned = tuple(" ".join(s.split()) for s in self.sentences)
-        if any(not s for s in cleaned):
+        if not all(map(str.strip, self.sentences)):
             raise ValueError("turn contains an empty sentence")
-        object.__setattr__(self, "sentences", cleaned)
+        sentences = tuple(split_sentences(" ".join(self.sentences)))
+        object.__setattr__(self, "sentences", sentences)
 
     @property
     def utterance(self) -> str:
@@ -134,8 +138,8 @@ def parse_turn_line(line: str) -> Turn:
         raise ValueError("blank turn line")
     head, sep, rest = stripped.partition(SPEAKER_DELIMITER)
     if sep and head and ":" not in head and rest.strip():
-        return Turn(head, tuple(split_sentences(rest)))
-    return Turn(None, tuple(split_sentences(stripped)))
+        return Turn(head, (rest,))
+    return Turn(None, (stripped,))
 
 
 def parse_dialogue_text(text: str) -> list[Turn]:

@@ -33,7 +33,6 @@ from .core import (
     Dialogue,
     Turn,
     parse_turn_line,
-    split_sentences,
 )
 
 FORMATS = ("jsonl", "plain")
@@ -74,7 +73,7 @@ def _turn_from_fields(
         _check_no_special_tokens(speaker, line_no, dialogue_id)
     _check_no_special_tokens(utterance, line_no, dialogue_id)
     try:
-        return Turn(speaker, tuple(split_sentences(utterance)))
+        return Turn(speaker, (utterance,))
     except ValueError as exc:
         raise RecordError(line_no, str(exc), dialogue_id) from exc
 

@@ -93,9 +93,10 @@ def default_window_size(reference: Segmentation) -> int:
     return max(1, round(mean_length / 2))
 
 
-def _paired_window_counts(
-    reference: Segmentation, hypothesis: Segmentation, k: int | None
-) -> tuple[list[int], list[int]]:
+def _pk_windiff(
+    reference: Segmentation, hypothesis: Segmentation, k: int | None = None
+) -> tuple[float, float]:
+    """Pk and WinDiff from one pair of window counts."""
     if reference.turn_count != hypothesis.turn_count:
         raise ValueError(
             f"turn counts differ: {reference.turn_count} vs {hypothesis.turn_count}"
@@ -108,14 +109,6 @@ def _paired_window_counts(
     # final turn's implicit label is dropped.
     ref_counts = window_counts(segmentation_to_labels(reference)[:-1], k)
     hyp_counts = window_counts(segmentation_to_labels(hypothesis)[:-1], k)
-    return ref_counts, hyp_counts
-
-
-def _pk_windiff(
-    reference: Segmentation, hypothesis: Segmentation, k: int | None = None
-) -> tuple[float, float]:
-    """Pk and WinDiff from one pair of window counts."""
-    ref_counts, hyp_counts = _paired_window_counts(reference, hypothesis, k)
     disagreements = sum(map(ne, map(bool, ref_counts), map(bool, hyp_counts)))
     differences = sum(map(ne, ref_counts, hyp_counts))
     return disagreements / len(ref_counts), differences / len(ref_counts)

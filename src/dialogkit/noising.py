@@ -35,7 +35,6 @@ from .core import (
     Dialogue,
     Turn,
     serialize_dialogue,
-    split_sentences,
     tokenize,
 )
 
@@ -217,10 +216,8 @@ def merge_turns(turns: Sequence[Turn], start: int, count: int) -> list[Turn]:
     first turn's speaker slot."""
     if count < 2 or start < 0 or start + count > len(turns):
         raise ValueError("merge range out of bounds")
-    merged_sentences: list[str] = []
-    for turn in turns[start : start + count]:
-        merged_sentences.extend(turn.sentences)
-    merged = Turn(turns[start].speaker, tuple(merged_sentences))
+    run = turns[start : start + count]
+    merged = Turn(run[0].speaker, tuple(turn.utterance for turn in run))
     return list(turns[:start]) + [merged] + list(turns[start + count :])
 
 
@@ -259,7 +256,8 @@ def _apply_infill(
 
     Anchors are visited in position order; insertions at a span's start come
     before its MASK, and anchors inside a span are skipped. A turn without
-    an anchor is returned as it is.
+    an anchor is returned as it is, which is what rebuilding it from its
+    text would give, since a turn's sentences have one fixed form.
     """
     per_turn, starts = _flat_utterance_tokens(turns)
     span_at = {int(s): int(length) for s, length in spans}
@@ -288,7 +286,7 @@ def _apply_infill(
                 rebuilt.append(MASK)
                 position += span_at[anchor]
         rebuilt += tokens[position - begin :]
-        out_turns.append(Turn(turn.speaker, tuple(split_sentences(" ".join(rebuilt)))))
+        out_turns.append(Turn(turn.speaker, (" ".join(rebuilt),)))
     return out_turns
 
 

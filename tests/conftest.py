@@ -43,9 +43,7 @@ class ScriptedRng:
 
 
 def make_turn(speaker, text) -> Turn:
-    from dialogkit.core import split_sentences
-
-    return Turn(speaker, tuple(split_sentences(text)))
+    return Turn(speaker, (text,))
 
 
 def make_dialogue(dialogue_id: str, *turns) -> Dialogue:
@@ -97,7 +95,7 @@ _SPEAKERS = st.none() | st.sampled_from(["Ann", "Bob", "Mary Lou", "Dr Who", "é
 @st.composite
 def dialogues(draw, dialogue_id: str = "d", max_turns: int = 12) -> Dialogue:
     """Random dialogues: speakers present and absent, one or more sentences
-    a turn, built through split_sentences as ingest builds them."""
+    a turn, built from text as ingest builds them."""
     turns = []
     for _ in range(draw(st.integers(1, max_turns))):
         utterance = "".join(draw(st.lists(_WORDS, min_size=1, max_size=14)))

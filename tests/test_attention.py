@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ def test_sinkhorn_rejects_bad_input():
         sinkhorn_normalize(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
         sinkhorn_normalize(np.zeros((2, 2)), 2, temperature=-1.0)
+
+
+@pytest.mark.parametrize(
+    "value, temperature", [(1.0, 1e-320), (1e10, 1e-300)], ids=["subnormal", "huge-logits"]
+)
+def test_sinkhorn_rejects_logits_that_overflow_at_the_temperature(value, temperature):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="logits / temperature must be finite"):
+            sinkhorn_normalize(np.full((2, 2), value), 2, temperature=temperature)
+        assert np.all(np.isfinite(sinkhorn_normalize(np.eye(2), 2, temperature=1e-300)))
 
 
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])

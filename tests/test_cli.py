@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -575,6 +576,17 @@ def test_eval_seg_unscorable_record_is_data_error(
     assert line.startswith("eval-seg: ") and message in line
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_eval_seg_k_below_one_is_usage_error_before_reading(tmp_path, capsys, k):
+    ref = tmp_path / "ref.jsonl"
+    _write_labels(ref, [{"id": "a", "labels": [0, 1, 0, 1]}])
+    for hyp in (ref, tmp_path / "missing.jsonl"):
+        assert main(["eval-seg", str(ref), str(hyp), "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["eval-seg: --k must be at least 1"]
+
+
 def test_eval_rouge_identical_pair(tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(
@@ -747,6 +759,19 @@ def test_attn_check_bad_number_is_usage_error(capsys, monkeypatch, flags, env_se
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+def test_attn_check_overflowing_temperature_is_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["attn-check", "--temperature", "1e-320", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["attn-check: logits / temperature must be finite"]
+    # A temperature this small still scales the suite's logits to finite
+    # values; Sinkhorn cannot settle them, which is an invariant failure.
+    assert main(["attn-check", "--temperature", "1e-300", "--seed", "1"]) == 3
+    assert "failed: " in capsys.readouterr().err
 
 
 def test_attn_check_invalid_spec_is_usage_error(capsys):

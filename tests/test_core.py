@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogkit.core import (
     MASK_SPEAKER,
@@ -49,6 +51,33 @@ def test_turn_normalizes_fields():
     assert turn.speaker == "Tom Jones"
     assert turn.sentences == ("Hi there.", "Bye.")
     assert turn.utterance == "Hi there. Bye."
+
+
+def test_turn_cuts_its_text_into_sentences():
+    assert Turn(None, ("A. B",)).sentences == ("A.", "B")
+    # The cut depends on the text alone, not on how the caller pieced it.
+    turn = Turn("Tom", ("Hi. How", "are you? Fine"))
+    assert turn.sentences == ("Hi.", "How are you?", "Fine")
+    assert turn == Turn("Tom", ("Hi. How are you? Fine",))
+
+
+# Text that must survive as at least one token, with sentence ends and every
+# kind of whitespace that normalization folds into one space.
+_SENTENCE_TEXT = st.text("abXY.!? \t\n\u00a0", min_size=1, max_size=24).filter(lambda x: x.split())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.none() | st.sampled_from(["Ann", "Mary Lou", "é"]),
+    st.lists(_SENTENCE_TEXT, min_size=1, max_size=5).map(tuple),
+)
+def test_turn_sentences_have_one_fixed_form(speaker, texts):
+    turn = Turn(speaker, texts)
+    prefix = "" if speaker is None else speaker + ": "
+    assert serialize_turn(turn) == prefix + " ".join(" ".join(x.split()) for x in texts)
+    assert all(split_sentences(s) == [s] for s in turn.sentences)
+    if speaker is not None:
+        assert parse_turn_line(serialize_turn(turn)) == turn
 
 
 def test_turn_rejects_bad_speakers_and_sentences():
