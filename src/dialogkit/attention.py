@@ -27,7 +27,7 @@ column sums approach 1 as iterations grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
@@ -620,13 +620,7 @@ def _attention_checks(spec: AttentionSpec, seed: int) -> list[dict]:
     k = rng.standard_normal((spec.seq_len, spec.model_dim))
     v = rng.standard_normal((spec.seq_len, spec.model_dim))
 
-    single = AttentionSpec(
-        seq_len=spec.seq_len,
-        model_dim=spec.model_dim,
-        block_size=spec.seq_len,
-        sinkhorn_iterations=spec.sinkhorn_iterations,
-        temperature=spec.temperature,
-    )
+    single = replace(spec, block_size=spec.seq_len)
     sparse_out = sinkhorn_attention(q, k, v, single, np.ones((1, 1)))
     add(
         "single_block_vs_full",
@@ -645,13 +639,7 @@ def _attention_checks(spec: AttentionSpec, seed: int) -> list[dict]:
 
     mixing = rng.standard_normal((spec.model_dim, spec.model_dim))
     base_out = sinkhorn_block_attention(q, k, v, mixing, spec)
-    extended = AttentionSpec(
-        seq_len=spec.seq_len + 2 * spec.block_size,
-        model_dim=spec.model_dim,
-        block_size=spec.block_size,
-        sinkhorn_iterations=spec.sinkhorn_iterations,
-        temperature=spec.temperature,
-    )
+    extended = replace(spec, seq_len=spec.seq_len + 2 * spec.block_size)
 
     def extend(m: np.ndarray) -> np.ndarray:
         tail = rng.standard_normal((extended.seq_len - spec.seq_len, spec.model_dim))

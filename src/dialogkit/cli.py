@@ -27,9 +27,9 @@ before it, so the output, exit code and stderr line equal those of one
 worker.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
-paths), 2 data error (malformed records under --strict, input that is not
-UTF-8, or evaluation files that are misaligned or cannot be scored),
-3 invariant failure.
+paths, an output or sidecar that is the input file), 2 data error
+(malformed records under --strict, input that is not UTF-8, or evaluation
+files that are misaligned or cannot be scored), 3 invariant failure.
 
 The default seed is 0, overridable by the DIALOGKIT_SEED environment
 variable and then by --seed.
@@ -44,7 +44,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import Iterator
 
@@ -77,6 +77,9 @@ EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
 _SEED_ENV = "DIALOGKIT_SEED"
+# The ``corrupt`` noise flags: every NoiseConfig field but the seed, which
+# comes from --seed.
+_NOISE_FIELDS = [f for f in fields(NoiseConfig) if f.name != "global_seed"]
 # Raw records per task sent to a ``corrupt --workers N`` pool worker.
 _CHUNK_RECORDS = 16
 
@@ -161,6 +164,10 @@ def _read_lines(path: str) -> Iterator[str]:
                 except UnicodeDecodeError as exc:
                     raise RecordError(line_no, f"not valid utf-8 ({exc.reason})") from None
             yield line
+
+
+def _same_file(path: str, other: str) -> bool:
+    return os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
 
 
 def _partial(path: str) -> str:
@@ -252,16 +259,8 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
         raise _Failure(EXIT_USAGE, "--examples-per-dialogue must be at least 1")
     if args.workers < 1:
         raise _Failure(EXIT_USAGE, "--workers must be at least 1")
-    cfg = _configured(
-        NoiseConfig,
-        window_fraction=args.window_fraction,
-        max_window_tokens=args.max_window_tokens,
-        speaker_mask_prob=args.speaker_mask_prob,
-        infill_rate=args.infill_rate,
-        poisson_lambda=args.poisson_lambda,
-        min_merge_turns=args.min_merge_turns,
-        global_seed=args.seed,
-    )
+    noise = {f.name: getattr(args, f.name) for f in _NOISE_FIELDS}
+    cfg = _configured(NoiseConfig, **noise, global_seed=args.seed)
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
     if args.workers > 1:
@@ -474,12 +473,9 @@ def build_parser() -> _Parser:
     corrupt.add_argument("--examples-per-dialogue", type=int, default=1)
     corrupt.add_argument("--workers", type=int, default=1)
     corrupt.add_argument("--strict", action="store_true")
-    corrupt.add_argument("--window-fraction", type=float, default=0.10)
-    corrupt.add_argument("--max-window-tokens", type=int, default=512)
-    corrupt.add_argument("--speaker-mask-prob", type=float, default=0.5)
-    corrupt.add_argument("--infill-rate", type=float, default=0.15)
-    corrupt.add_argument("--poisson-lambda", type=float, default=3.0)
-    corrupt.add_argument("--min-merge-turns", type=int, default=2)
+    for f in _NOISE_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        corrupt.add_argument(flag, type=type(f.default), default=f.default)
     corrupt.set_defaults(func=cmd_corrupt)
 
     eval_seg = subparsers.add_parser("eval-seg", help="Pk and WinDiff scores")
@@ -521,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         for path in (output, sidecar):
             if path is not None and os.path.isdir(path):
                 raise _Failure(EXIT_USAGE, f"{path}: is a directory")
+            if path is not None and _same_file(path, args.input):
+                raise _Failure(EXIT_USAGE, f"{path}: is the input")
         if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
             raise _Failure(EXIT_USAGE, f"{output}: no such directory")
         result = args.func(args)

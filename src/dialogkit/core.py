@@ -1,11 +1,10 @@
 """Dialogue data model and canonical text serialization.
 
 A dialogue is an ordered, non-empty list of turns; a turn is an optional
-speaker plus one or more sentences. :class:`Turn` is the single place where
-text becomes sentences, so a turn's sentences have one fixed form, and
-serialization is the single place where turns become text. Together
-they keep token accounting additive: tokenizing a serialized dialogue yields
-exactly the concatenation of the per-turn tokens, speaker prefixes included.
+speaker plus its text, and its sentences are read from that text.
+Serialization is the single place where turns become text, which keeps token
+accounting additive: tokenizing a serialized dialogue yields exactly the
+concatenation of the per-turn tokens, speaker prefixes included.
 """
 
 from __future__ import annotations
@@ -47,18 +46,17 @@ def split_sentences(utterance: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Turn:
-    """One turn: an optional speaker name and a non-empty tuple of sentences.
+    """One turn: an optional speaker plus its text; sentences are read from it.
 
-    The strings given are joined with spaces and cut by
-    :func:`split_sentences`, so ``Turn(speaker, (text,))`` builds a turn
-    from text and its sentences depend on the utterance alone:
-    ``parse_turn_line(serialize_turn(turn))`` gives back every turn that has
-    a speaker. Speakers are whitespace-normalized and may not contain a
-    colon, so the serialized form stays parseable.
+    The text is whitespace-normalized into ``utterance``, and ``sentences``
+    cuts it with :func:`split_sentences`, so a turn's sentences depend on its
+    utterance alone: ``parse_turn_line(serialize_turn(turn))`` gives back
+    every turn that has a speaker. Speakers are whitespace-normalized and may
+    not contain a colon, so the serialized form stays parseable.
     """
 
     speaker: str | None
-    sentences: tuple[str, ...]
+    utterance: str
 
     def __post_init__(self) -> None:
         if self.speaker is not None:
@@ -68,16 +66,16 @@ class Turn:
             if ":" in cleaned_speaker:
                 raise ValueError(f"speaker contains a colon: {cleaned_speaker!r}")
             object.__setattr__(self, "speaker", cleaned_speaker)
-        if not self.sentences:
-            raise ValueError("turn has no sentences")
-        if not all(map(str.strip, self.sentences)):
-            raise ValueError("turn contains an empty sentence")
-        sentences = tuple(split_sentences(" ".join(self.sentences)))
-        object.__setattr__(self, "sentences", sentences)
+        if not isinstance(self.utterance, str):
+            raise TypeError(f"utterance must be a str, not {type(self.utterance).__name__}")
+        utterance = " ".join(self.utterance.split())
+        if not utterance:
+            raise ValueError("utterance is empty")
+        object.__setattr__(self, "utterance", utterance)
 
     @property
-    def utterance(self) -> str:
-        return " ".join(self.sentences)
+    def sentences(self) -> tuple[str, ...]:
+        return tuple(split_sentences(self.utterance))
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,8 @@ def parse_turn_line(line: str) -> Turn:
         raise ValueError("blank turn line")
     head, sep, rest = stripped.partition(SPEAKER_DELIMITER)
     if sep and head and ":" not in head and rest.strip():
-        return Turn(head, (rest,))
-    return Turn(None, (stripped,))
+        return Turn(head, rest)
+    return Turn(None, stripped)
 
 
 def parse_dialogue_text(text: str) -> list[Turn]:

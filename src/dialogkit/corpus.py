@@ -24,7 +24,7 @@ decode, or is not an object is a record error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .core import (
@@ -73,7 +73,7 @@ def _turn_from_fields(
         _check_no_special_tokens(speaker, line_no, dialogue_id)
     _check_no_special_tokens(utterance, line_no, dialogue_id)
     try:
-        return Turn(speaker, (utterance,))
+        return Turn(speaker, utterance)
     except ValueError as exc:
         raise RecordError(line_no, str(exc), dialogue_id) from exc
 
@@ -249,12 +249,7 @@ class CorpusStats:
     mean_length_words: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "dialogue_count": self.dialogue_count,
-            "mean_turns": self.mean_turns,
-            "mean_speakers": self.mean_speakers,
-            "mean_length_words": self.mean_length_words,
-        }
+        return asdict(self)
 
 
 class StatsAccumulator:

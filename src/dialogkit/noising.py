@@ -3,7 +3,7 @@
 A denoising example pairs a corrupted rendering of the whole dialogue with
 the clean text of one window of consecutive turns. Only the window is
 corrupted; turns outside it pass through byte-identical. Five transforms
-run in a fixed order:
+run as four steps in a fixed order, since splitting and merging share one:
 
 1. speaker masking (each present speaker replaced independently),
 2. exactly one of turn splitting or turn merging, picked by a fair coin
@@ -177,7 +177,7 @@ def noise_speaker_mask(
     masked: list[int] = []
     for index, turn in enumerate(turns):
         if turn.speaker is not None and rng.random() < prob:
-            out.append(Turn(MASK_SPEAKER, turn.sentences))
+            out.append(Turn(MASK_SPEAKER, turn.utterance))
             masked.append(index)
         else:
             out.append(turn)
@@ -189,8 +189,9 @@ def _split_target(turns: Sequence[Turn]) -> int | None:
     when no turn has at least two."""
     best_index, best_count = None, 1
     for index, turn in enumerate(turns):
-        if len(turn.sentences) > best_count:
-            best_index, best_count = index, len(turn.sentences)
+        count = len(turn.sentences)
+        if count > best_count:
+            best_index, best_count = index, count
     return best_index
 
 
@@ -205,8 +206,8 @@ def noise_turn_splitting(turns: Sequence[Turn]) -> tuple[list[Turn], dict | None
     if target is None:
         return list(turns), None
     victim = turns[target]
-    pieces = [Turn(victim.speaker, (victim.sentences[0],))]
-    pieces.extend(Turn(MASK_SPEAKER, (s,)) for s in victim.sentences[1:])
+    first, *rest = victim.sentences
+    pieces = [Turn(victim.speaker, first), *(Turn(MASK_SPEAKER, s) for s in rest)]
     out = list(turns[:target]) + pieces + list(turns[target + 1 :])
     return out, {"turn": target, "parts": len(pieces)}
 
@@ -217,7 +218,7 @@ def merge_turns(turns: Sequence[Turn], start: int, count: int) -> list[Turn]:
     if count < 2 or start < 0 or start + count > len(turns):
         raise ValueError("merge range out of bounds")
     run = turns[start : start + count]
-    merged = Turn(run[0].speaker, tuple(turn.utterance for turn in run))
+    merged = Turn(run[0].speaker, " ".join(turn.utterance for turn in run))
     return list(turns[:start]) + [merged] + list(turns[start + count :])
 
 
@@ -257,7 +258,7 @@ def _apply_infill(
     Anchors are visited in position order; insertions at a span's start come
     before its MASK, and anchors inside a span are skipped. A turn without
     an anchor is returned as it is, which is what rebuilding it from its
-    text would give, since a turn's sentences have one fixed form.
+    tokens would give, since a turn's text is whitespace-normalized.
     """
     per_turn, starts = _flat_utterance_tokens(turns)
     span_at = {int(s): int(length) for s, length in spans}
@@ -286,7 +287,7 @@ def _apply_infill(
                 rebuilt.append(MASK)
                 position += span_at[anchor]
         rebuilt += tokens[position - begin :]
-        out_turns.append(Turn(turn.speaker, (" ".join(rebuilt),)))
+        out_turns.append(Turn(turn.speaker, " ".join(rebuilt)))
     return out_turns
 
 
@@ -481,7 +482,7 @@ def replay_window_noise(turns: Sequence[Turn], trace: dict) -> list[Turn]:
     """
     replayed: list[Turn] = list(turns)
     for index in trace["speaker_mask"]:
-        replayed[index] = Turn(MASK_SPEAKER, replayed[index].sentences)
+        replayed[index] = Turn(MASK_SPEAKER, replayed[index].utterance)
     applied = trace["turn_op"]["applied"]
     if applied == "split":
         replayed, _ = noise_turn_splitting(replayed)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import dialogkit
 from dialogkit.core import Dialogue, Turn
+
+# The directory that holds the package, for child interpreters to import it.
+SRC = str(Path(dialogkit.__file__).resolve().parents[1])
 
 
 class ScriptedRng:
@@ -43,7 +48,7 @@ class ScriptedRng:
 
 
 def make_turn(speaker, text) -> Turn:
-    return Turn(speaker, (text,))
+    return Turn(speaker, text)
 
 
 def make_dialogue(dialogue_id: str, *turns) -> Dialogue:
@@ -64,7 +69,7 @@ def synthetic_dialogue(dialogue_id: str, turn_count: int, rng: random.Random) ->
             f"w{rng.randrange(200)}" for _ in range(rng.randrange(3, 7))
         )
         turns.append(
-            Turn(speakers[index % len(speakers)], (first + ".", second + "."))
+            Turn(speakers[index % len(speakers)], f"{first}. {second}.")
         )
     return Dialogue(dialogue_id, tuple(turns))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -48,6 +49,7 @@ from dialogkit.noising import (
     sample_poisson,
 )
 from tests.conftest import (
+    SRC,
     ScriptedRng,
     dialogue_to_json_line,
     make_dialogue,
@@ -527,6 +529,7 @@ def test_criterion_10_corpus_stats(tmp_path):
         capture_output=True,
         text=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     payload = json.loads(result.stdout)
     assert payload["count"] == written

@@ -7,14 +7,14 @@ import random
 import subprocess
 import sys
 import warnings
-from pathlib import Path
+from dataclasses import fields
 
 import pytest
 
-import dialogkit
-from dialogkit.cli import main
+from dialogkit.cli import build_parser, main
 from dialogkit.corpus import ingest
-from tests.conftest import dialogue_to_json_line, make_dialogue, synthetic_dialogue
+from dialogkit.noising import NoiseConfig
+from tests.conftest import SRC, dialogue_to_json_line, make_dialogue, synthetic_dialogue
 
 
 def _write_corpus(path, dialogues):
@@ -227,6 +227,37 @@ def test_corrupt_output_directory_missing(tmp_path, corpus_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
+    "input_name, output, target",
+    [
+        ("c.jsonl", "c.jsonl", "c.jsonl"),
+        ("c.jsonl", "./c.jsonl", "./c.jsonl"),
+        ("x.manifest.json", "x", "x.manifest.json"),
+    ],
+)
+def test_corrupt_will_not_write_over_its_input(
+    tmp_path, corpus_path, capsys, monkeypatch, input_name, output, target
+):
+    monkeypatch.chdir(tmp_path)
+    data = corpus_path.read_bytes()
+    (tmp_path / input_name).write_bytes(data)
+    assert main(["corrupt", input_name, output]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"corrupt: {target}: is the input"
+    assert (tmp_path / input_name).read_bytes() == data
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_corrupt_noise_flags_default_to_noise_config():
+    args = build_parser().parse_args(["corrupt", "IN", "OUT"])
+    defaults = NoiseConfig()
+    for f in fields(NoiseConfig):
+        if f.name != "global_seed":
+            value = getattr(args, f.name)
+            assert value == getattr(defaults, f.name)
+            assert type(value) is type(getattr(defaults, f.name))
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--examples-per-dialogue", "0"], "--examples-per-dialogue"),
@@ -304,14 +335,11 @@ def _bad_corpora() -> dict[str, tuple[str, bytes]]:
     }
 
 
-_SRC = str(Path(dialogkit.__file__).resolve().parents[1])
-
-
 def _run_cli(argv):
     # A hang in a worker pool must fail the test, not stall the suite.
     return subprocess.run(
         [sys.executable, "-m", "dialogkit", *argv],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
     )
 
 
@@ -478,7 +506,7 @@ def test_corrupt_workers_report_errors_in_input_order(tmp_path):
     corpus.write_bytes(_bad_corpora()["bad-json"][1])
     result = subprocess.run(
         [sys.executable, "-c", _POOL_ERRORS_CHILD, str(corpus), str(tmp_path / "out.jsonl")],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.returncode == 0, result.stderr
     errors = []
@@ -708,7 +736,8 @@ def test_only_the_attention_reference_imports_numpy(tmp_path, corpus_path):
     labels.write_text(json.dumps({"id": "s", "labels": [0, 1, 0, 0, 1]}) + "\n")
     child = [str(corpus_path), str(pairs), str(labels), str(tmp_path / "out.jsonl")]
     result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_CHILD, *child], capture_output=True, text=True
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, *child],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.returncode == 0, result.stderr
 

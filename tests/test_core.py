@@ -47,76 +47,78 @@ def test_split_sentences_no_break_without_space():
 
 
 def test_turn_normalizes_fields():
-    turn = Turn("  Tom  Jones ", (" Hi  there. ", "Bye."))
+    turn = Turn("  Tom  Jones ", " Hi  there. \n Bye.")
     assert turn.speaker == "Tom Jones"
     assert turn.sentences == ("Hi there.", "Bye.")
     assert turn.utterance == "Hi there. Bye."
 
 
 def test_turn_cuts_its_text_into_sentences():
-    assert Turn(None, ("A. B",)).sentences == ("A.", "B")
-    # The cut depends on the text alone, not on how the caller pieced it.
-    turn = Turn("Tom", ("Hi. How", "are you? Fine"))
+    assert Turn(None, "A. B").sentences == ("A.", "B")
+    # The cut depends on the normalized text alone, not on its whitespace.
+    turn = Turn("Tom", "Hi. How\t are you?\n Fine")
     assert turn.sentences == ("Hi.", "How are you?", "Fine")
-    assert turn == Turn("Tom", ("Hi. How are you? Fine",))
+    assert turn == Turn("Tom", "Hi. How are you? Fine")
 
 
-# Text that must survive as at least one token, with sentence ends and every
-# kind of whitespace that normalization folds into one space.
-_SENTENCE_TEXT = st.text("abXY.!? \t\n\u00a0", min_size=1, max_size=24).filter(lambda x: x.split())
+# Text with sentence ends and every kind of whitespace that normalization
+# folds into one space; it must keep at least one token.
+_TURN_TEXT = st.text("abXY.!? \t\n\u00a0", min_size=1, max_size=60).filter(lambda x: x.split())
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.none() | st.sampled_from(["Ann", "Mary Lou", "é"]),
-    st.lists(_SENTENCE_TEXT, min_size=1, max_size=5).map(tuple),
-)
-def test_turn_sentences_have_one_fixed_form(speaker, texts):
-    turn = Turn(speaker, texts)
+@given(st.none() | st.sampled_from(["Ann", "Mary Lou", "é"]), _TURN_TEXT)
+def test_turn_sentences_have_one_fixed_form(speaker, text):
+    turn = Turn(speaker, text)
     prefix = "" if speaker is None else speaker + ": "
-    assert serialize_turn(turn) == prefix + " ".join(" ".join(x.split()) for x in texts)
+    assert turn.utterance == " ".join(text.split())
+    assert serialize_turn(turn) == prefix + turn.utterance
+    assert turn.sentences == tuple(split_sentences(text))
     assert all(split_sentences(s) == [s] for s in turn.sentences)
+    assert Turn(speaker, " ".join(turn.sentences)) == turn
     if speaker is not None:
         assert parse_turn_line(serialize_turn(turn)) == turn
 
 
 def test_turn_rejects_bad_speakers_and_sentences():
     with pytest.raises(ValueError):
-        Turn("a:b", ("Hi.",))
+        Turn("a:b", "Hi.")
     with pytest.raises(ValueError):
-        Turn("   ", ("Hi.",))
+        Turn("   ", "Hi.")
     with pytest.raises(ValueError):
-        Turn("Tom", ())
+        Turn("Tom", "")
     with pytest.raises(ValueError):
-        Turn("Tom", ("Hi.", "  "))
+        Turn("Tom", " \t\n ")
+    with pytest.raises(TypeError, match="utterance must be a str"):
+        Turn("A", ("Hi.",))
 
 
 def test_speakerless_turn_allowed():
-    turn = Turn(None, ("Just text.",))
+    turn = Turn(None, "Just text.")
     assert serialize_turn(turn) == "Just text."
 
 
 def test_dialogue_validation():
     with pytest.raises(ValueError):
-        Dialogue("", (Turn("A", ("Hi.",)),))
+        Dialogue("", (Turn("A", "Hi."),))
     with pytest.raises(ValueError):
         Dialogue("d", ())
 
 
 def test_serialize_turn_with_speaker():
-    turn = Turn("Tom", ("The weather is good today!",))
+    turn = Turn("Tom", "The weather is good today!")
     assert serialize_turn(turn) == "Tom: The weather is good today!"
-    masked = Turn(MASK_SPEAKER, ("Hi.",))
+    masked = Turn(MASK_SPEAKER, "Hi.")
     assert serialize_turn(masked) == "[MASK_SPEAKER]: Hi."
 
 
 def test_turn_token_count_includes_speaker():
-    assert turn_token_count(Turn("Tom", ("Hi there.",))) == 3
-    assert turn_token_count(Turn(None, ("Hi there.",))) == 2
+    assert turn_token_count(Turn("Tom", "Hi there.")) == 3
+    assert turn_token_count(Turn(None, "Hi there.")) == 2
 
 
 def test_serialize_dialogue_joins_with_newlines():
-    turns = (Turn("A", ("One.",)), Turn(None, ("Two.",)))
+    turns = (Turn("A", "One."), Turn(None, "Two."))
     assert serialize_dialogue(turns) == "A: One.\nTwo."
     with pytest.raises(ValueError):
         serialize_dialogue(())
@@ -124,9 +126,9 @@ def test_serialize_dialogue_joins_with_newlines():
 
 def test_token_accounting_is_additive():
     turns = (
-        Turn("Ann Marie", ("First thing.", "Second thing!")),
-        Turn(None, ("Bare line here.",)),
-        Turn("Bob", ("Done?",)),
+        Turn("Ann Marie", "First thing. Second thing!"),
+        Turn(None, "Bare line here."),
+        Turn("Bob", "Done?"),
     )
     total = len(tokenize(serialize_dialogue(turns)))
     assert total == sum(turn_token_count(t) for t in turns)
@@ -151,9 +153,9 @@ def test_parse_turn_line_speakerless_variants():
 def test_parse_turn_line_reads_a_word_colon_prefix_as_a_speaker():
     # The documented limit of the round trip: the serialized form of this
     # speakerless turn is indistinguishable from a turn spoken by "Note".
-    line = serialize_turn(Turn(None, ("Note: call back.",)))
+    line = serialize_turn(Turn(None, "Note: call back."))
     assert line == "Note: call back."
-    assert parse_turn_line(line) == Turn("Note", ("call back.",))
+    assert parse_turn_line(line) == Turn("Note", "call back.")
 
 
 def test_parse_turn_line_rejects_blank():

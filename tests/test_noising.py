@@ -12,7 +12,6 @@ from dialogkit.core import (
     MASK_SPEAKER,
     Turn,
     serialize_dialogue,
-    split_sentences,
     tokenize,
 )
 from dialogkit.noising import (
@@ -321,7 +320,7 @@ def _infill_by_position(turns, spans, insertions):
             else:
                 rebuilt.append(tokens[position - begin])
                 position += 1
-        out.append(Turn(turn.speaker, tuple(split_sentences(" ".join(rebuilt)))))
+        out.append(Turn(turn.speaker, " ".join(rebuilt)))
         begin = end
     return out
 
