@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -249,6 +248,8 @@ def _corrupt_in_pool(
     processes that parse and corrupt; this process only splits and screens."""
     chunks = _record_chunks(_read_lines(args.input), args.format)
     tasks = ((args.format, chunk, cfg, args.examples_per_dialogue) for chunk in chunks)
+    import multiprocessing
+
     with multiprocessing.Pool(args.workers) as pool:
         outcomes = chain.from_iterable(pool.imap(_corrupt_records, tasks))
         yield from screen(outcomes, on_error, errors)

@@ -60,6 +60,9 @@ class Turn:
 
     def __post_init__(self) -> None:
         if self.speaker is not None:
+            if not isinstance(self.speaker, str):
+                kind = type(self.speaker).__name__
+                raise TypeError(f"speaker must be a str or None, not {kind}")
             cleaned_speaker = " ".join(self.speaker.split())
             if not cleaned_speaker:
                 raise ValueError("speaker is present but empty")

@@ -3,7 +3,8 @@
 The LCS runs the bit-parallel recurrence of Allison & Dix (1986) in Hyyrö's
 form (2004) over Python ints: one len(a)-bit column per token of ``b``. The
 columns encode the whole DP table, so summary-level ROUGE-L backtracks
-through them without building it.
+through them without building it, and packs all the sentences of a pair
+into one call.
 """
 
 from __future__ import annotations
@@ -17,21 +18,37 @@ from typing import Sequence
 USE_NUMBA = False
 
 
-def lcs_table(a: Sequence[str], b: Sequence[str]) -> list[int]:
+def match_masks(a: Sequence[str | None]) -> dict[str | None, int]:
+    """Each token of ``a`` mapped to the bits of the positions it holds."""
+    match: dict[str | None, int] = {}
+    for i, token in enumerate(a):
+        match[token] = match.get(token, 0) | (1 << i)
+    return match
+
+
+def lcs_table(a: Sequence[str | None], b: Sequence[str | None]) -> list[int]:
     """Bit columns V_0..V_len(b) of the LCS table of ``a`` against ``b``.
 
     ``V_j`` packs the cells L(0..len(a), j) of the table; read one with
-    :func:`lcs_cell`. ``V_0`` has all len(a) bits set.
+    :func:`lcs_cell`. ``V_0`` has the bit of every token of ``a`` set.
+
+    ``None`` separates sequences packed into one call. A ``None`` in ``a``
+    has a bit that is never set and never matches, so no carry crosses it
+    and each run of ``a`` between separators reads its own table in its own
+    bits. A ``None`` in ``b`` restarts the columns: its column is ``V_0``
+    again. One call then gives the tables of every run of ``a`` against
+    every run of ``b``.
     """
-    full = (1 << len(a)) - 1
-    match: dict[str, int] = {}
-    for i, token in enumerate(a):
-        match[token] = match.get(token, 0) | (1 << i)
+    match = match_masks(a)
+    full = ((1 << len(a)) - 1) & ~match.pop(None, 0)
     v = full
     columns = [v]
     for token in b:
-        u = v & match.get(token, 0)
-        v = ((v + u) | (v - u)) & full
+        if token is None:
+            v = full
+        else:
+            u = v & match.get(token, 0)
+            v = ((v + u) | (v - u)) & full
         columns.append(v)
     return columns
 

@@ -12,6 +12,11 @@ stemming. Scores computed here are consistent with each other but should
 not be compared naively against numbers produced by other toolkits with
 different preprocessing.
 
+Each text of a pair is normalized once: ROUGE-1, ROUGE-2 and ROUGE-L read
+the same tokens and sentences. Summary-level ROUGE-L makes one LCS pass per
+candidate sentence against all the reference sentences packed into one bit
+vector, and the pair's passes share one call of the kernel.
+
 All of it is pure Python: ROUGE-L backtracks through the bit-parallel LCS
 columns of :mod:`.kernels`, and Pk/WinDiff count over plain lists.
 """
@@ -22,11 +27,13 @@ import random
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
 from operator import ne
 from typing import Iterable, Sequence
 
 from .core import split_sentences, tokenize
-from .kernels import lcs_length, lcs_table, window_counts
+from .kernels import lcs_length, lcs_table, match_masks, window_counts
 
 
 @dataclass(frozen=True)
@@ -185,57 +192,100 @@ _ZERO_SCORE = RougeScore(0.0, 0.0, 0.0)
 
 
 def _normalize_tokens(text: str) -> list[str]:
-    tokens = []
-    for token in tokenize(text.lower()):
-        stripped = token.strip(string.punctuation)
-        if stripped:
-            tokens.append(stripped)
-    return tokens
+    return list(filter(None, map(str.strip, tokenize(text.lower()), repeat(string.punctuation))))
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
+@lru_cache(maxsize=2)
+def _analyze(text: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """A text's normalized tokens and the tokens of its non-empty sentences.
+
+    The tokens are the sentences' tokens joined in order, which is the
+    normalization of the whole text. The cache holds both sides of the pair
+    being scored, so ROUGE-1, ROUGE-2 and ROUGE-L normalize each text once.
+    """
+    if not text.strip():
+        return (), ()
+    sentences = tuple(
+        tuple(tokens) for tokens in map(_normalize_tokens, split_sentences(text)) if tokens
     )
+    return tuple(chain.from_iterable(sentences)), sentences
+
+
+def _clipped_overlap(left: Counter, right: Counter) -> int:
+    """The sum over shared keys of the smaller of the two counts."""
+    shared = left.keys() & right.keys()
+    return sum(map(min, map(left.__getitem__, shared), map(right.__getitem__, shared)))
+
+
+def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
+    return Counter(tokens if n == 1 else zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap; zero when either side has no n-grams."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    cand_grams = _ngrams(_normalize_tokens(candidate), n)
-    ref_grams = _ngrams(_normalize_tokens(reference), n)
-    cand_total = sum(cand_grams.values())
-    ref_total = sum(ref_grams.values())
-    if cand_total == 0 or ref_total == 0:
+    cand_tokens = _analyze(candidate)[0]
+    ref_tokens = _analyze(reference)[0]
+    cand_total = len(cand_tokens) - n + 1
+    ref_total = len(ref_tokens) - n + 1
+    if cand_total <= 0 or ref_total <= 0:
         return _ZERO_SCORE
-    overlap = sum((cand_grams & ref_grams).values())
+    overlap = _clipped_overlap(_ngram_counts(cand_tokens, n), _ngram_counts(ref_tokens, n))
     return RougeScore.from_pr(overlap / cand_total, overlap / ref_total)
 
 
-def _lcs_ref_positions(ref_tokens: list[str], cand_tokens: list[str]) -> set[int]:
-    """Reference-token indices participating in one LCS against the
-    candidate, recovered by backtracking the DP table; a tie prefers
-    dropping a reference token."""
-    if not ref_tokens or not cand_tokens:
-        return set()
-    columns = lcs_table(ref_tokens, cand_tokens)
-    positions: set[int] = set()
-    i, j = len(ref_tokens), len(cand_tokens)
-    while i > 0 and j > 0:
-        # Equal tokens always extend the LCS of the shorter prefixes.
-        if ref_tokens[i - 1] == cand_tokens[j - 1]:
-            positions.add(i - 1)
-            i -= 1
-            j -= 1
-        # Otherwise L(i, j) = max(L(i-1, j), L(i, j-1)), and bit i-1 of V_j
-        # is set exactly when L(i-1, j) = L(i, j), that is when
-        # L(i-1, j) >= L(i, j-1): the tie-break that drops a reference token.
-        elif columns[j] >> (i - 1) & 1:
-            i -= 1
-        else:
-            j -= 1
-    return positions
+def _pack(sentences: Sequence[Sequence[str]]) -> tuple[list[str | None], list[tuple[int, int]]]:
+    """The sentences' tokens with a ``None`` after each sentence, and the
+    span of each sentence in that list."""
+    packed: list[str | None] = []
+    spans = []
+    for sentence in sentences:
+        spans.append((len(packed), len(packed) + len(sentence)))
+        packed += sentence
+        packed.append(None)
+    return packed, spans
+
+
+def _lcs_ref_positions(
+    ref_sentences: Sequence[Sequence[str]], cand_sentences: Sequence[Sequence[str]]
+) -> list[set[int]]:
+    """For each reference sentence, the union over the candidate sentences
+    of its token indices in one LCS against that candidate sentence.
+
+    Both sides are packed with ``None`` separators, so one lcs_table call
+    gives the columns of every pair of sentences. Each pair backtracks
+    through its own bits and columns; a tie prefers dropping a reference
+    token.
+    """
+    reference, ref_spans = _pack(ref_sentences)
+    candidate, cand_spans = _pack(cand_sentences)
+    match = match_masks(reference)
+    columns = lcs_table(reference, candidate)
+    # Equal tokens always extend the LCS of the shorter prefixes.
+    # Otherwise L(i, j) = max(L(i-1, j), L(i, j-1)), and bit i-1 of V_j is
+    # set exactly when L(i-1, j) >= L(i, j-1): then the backtrack drops
+    # reference token i-1. So from (i, j) it drops every token down to the
+    # highest bit below i that is a match or is clear in V_j. The walk
+    # takes one match per unit of the pair's LCS length, then stops.
+    stops = [~v | match.get(token, 0) for v, token in zip(columns[1:], candidate)]
+    unions = []
+    for low, high in ref_spans:
+        union: set[int] = set()
+        floor = 1 << low
+        bits = (1 << high) - floor
+        for _, end in cand_spans:
+            left = high - low - (columns[end] & bits).bit_count()
+            i, j = high, end
+            while left:
+                j -= 1
+                i = (stops[j] & ((1 << i) - floor)).bit_length()
+                if reference[i - 1] == candidate[j]:
+                    i -= 1
+                    left -= 1
+                    union.add(i - low)
+        unions.append(union)
+    return unions
 
 
 def rouge_l(
@@ -249,45 +299,21 @@ def rouge_l(
     candidate sentence, then count those matched tokens with reuse clipped
     to each token's total count in the candidate.
     """
+    cand_tokens, cand_sentences = _analyze(candidate)
+    ref_tokens, ref_sentences = _analyze(reference)
+    if not cand_tokens or not ref_tokens:
+        return _ZERO_SCORE
     if not sentence_split:
-        cand_tokens = _normalize_tokens(candidate)
-        ref_tokens = _normalize_tokens(reference)
-        if not cand_tokens or not ref_tokens:
-            return _ZERO_SCORE
         lcs = lcs_length(cand_tokens, ref_tokens)
         return RougeScore.from_pr(lcs / len(cand_tokens), lcs / len(ref_tokens))
-
-    cand_sentences = _sentence_token_lists(candidate)
-    ref_sentences = _sentence_token_lists(reference)
-    cand_total = sum(len(s) for s in cand_sentences)
-    ref_total = sum(len(s) for s in ref_sentences)
-    if cand_total == 0 or ref_total == 0:
-        return _ZERO_SCORE
-    remaining = Counter()
-    for sentence in cand_sentences:
-        remaining.update(sentence)
-    hits = 0
-    for ref_sentence in ref_sentences:
-        union: set[int] = set()
-        for cand_sentence in cand_sentences:
-            union |= _lcs_ref_positions(ref_sentence, cand_sentence)
-        for position in union:
-            token = ref_sentence[position]
-            if remaining[token] > 0:
-                remaining[token] -= 1
-                hits += 1
-    return RougeScore.from_pr(hits / cand_total, hits / ref_total)
-
-
-def _sentence_token_lists(text: str) -> list[list[str]]:
-    if not text.strip():
-        return []
-    out = []
-    for sentence in split_sentences(text):
-        tokens = _normalize_tokens(sentence)
-        if tokens:
-            out.append(tokens)
-    return out
+    unions = _lcs_ref_positions(ref_sentences, cand_sentences)
+    matched = Counter(
+        sentence[position]
+        for sentence, union in zip(ref_sentences, unions)
+        for position in union
+    )
+    hits = _clipped_overlap(Counter(cand_tokens), matched)
+    return RougeScore.from_pr(hits / len(cand_tokens), hits / len(ref_tokens))
 
 
 def mean_scores(scores: Iterable[RougeScore]) -> RougeScore:

@@ -715,12 +715,13 @@ import dialogkit, dialogkit.cli
 corpus, pairs, labels, out = sys.argv[1:]
 for argv in (
     ["stats", corpus],
-    ["corrupt", corpus, out],
+    ["corrupt", corpus, out, "--workers", "1"],
     ["eval-rouge", pairs, "--rouge-l-split"],
     ["eval-seg", labels, labels, "--baselines"],
 ):
     assert dialogkit.cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "multiprocessing" not in sys.modules, "multiprocessing was imported"
 
 from dialogkit import AttentionSpec, full_attention
 for name in dialogkit.__all__:

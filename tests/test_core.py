@@ -91,6 +91,8 @@ def test_turn_rejects_bad_speakers_and_sentences():
         Turn("Tom", " \t\n ")
     with pytest.raises(TypeError, match="utterance must be a str"):
         Turn("A", ("Hi.",))
+    with pytest.raises(TypeError, match="speaker must be a str or None, not int"):
+        Turn(3, "Hi.")
 
 
 def test_speakerless_turn_allowed():

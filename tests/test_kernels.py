@@ -71,6 +71,36 @@ def test_lcs_table_matches_classic_table():
             assert _decoded_table(a, b) == _classic_table(a, b)
 
 
+def _packed(pieces: list[list[str]]) -> tuple[list, list[int]]:
+    """The pieces with a None after each, and each piece's start."""
+    packed, starts = [], []
+    for piece in pieces:
+        starts.append(len(packed))
+        packed += piece + [None]
+    return packed, starts
+
+
+def test_lcs_table_none_separates_packed_sequences():
+    # A None in ``a`` stops every carry and a None in ``b`` restarts the
+    # columns, so each pair of pieces reads the classic table of its own.
+    rng = random.Random(4)
+    for _ in range(40):
+        a_pieces = [_random_tokens(rng, 40) for _ in range(rng.randrange(1, 5))]
+        b_pieces = [_random_tokens(rng, 10) for _ in range(rng.randrange(1, 4))]
+        a, a_starts = _packed(a_pieces)
+        b, b_starts = _packed(b_pieces)
+        columns = kernels.lcs_table(a, b)
+        assert len(columns) == len(b) + 1
+        for a_piece, low in zip(a_pieces, a_starts):
+            for b_piece, start in zip(b_pieces, b_starts):
+                cells = [
+                    [i - (columns[start + j] >> low & ((1 << i) - 1)).bit_count()
+                     for j in range(len(b_piece) + 1)]
+                    for i in range(len(a_piece) + 1)
+                ]
+                assert cells == _classic_table(a_piece, b_piece)
+
+
 def test_window_counts_matches_naive_loop():
     rng = np.random.default_rng(3)
     for _ in range(60):

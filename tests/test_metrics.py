@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import string
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialogkit.core import split_sentences
 from dialogkit.metrics import (
     RougeScore,
     Segmentation,
@@ -347,9 +349,92 @@ _small_vocab_tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=24)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_small_vocab_tokens, _small_vocab_tokens)
-def test_lcs_ref_positions_match_classic_backtrack(ref, cand):
-    assert _lcs_ref_positions(ref, cand) == _classic_ref_positions(ref, cand)
+@given(
+    st.lists(_small_vocab_tokens, min_size=1, max_size=4),
+    st.lists(_small_vocab_tokens, min_size=1, max_size=3),
+)
+def test_lcs_ref_positions_match_classic_backtrack(refs, cands):
+    # The packed backtrack gives each reference sentence the union of its
+    # classic positions against every candidate sentence, so no carry or
+    # column leaks from one packed sentence into the next.
+    expected = [
+        set().union(*(_classic_ref_positions(ref, cand) for cand in cands)) for ref in refs
+    ]
+    assert _lcs_ref_positions(refs, cands) == expected
+
+
+def _oracle_tokens(text: str) -> list[str]:
+    stripped = (token.strip(string.punctuation) for token in text.lower().split())
+    return [token for token in stripped if token]
+
+
+def _oracle_rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
+    """Clipped n-gram overlap of the whole texts, each normalized here."""
+
+    def grams(text):
+        tokens = _oracle_tokens(text)
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    cand, ref = grams(candidate), grams(reference)
+    cand_total, ref_total = sum(cand.values()), sum(ref.values())
+    if cand_total == 0 or ref_total == 0:
+        return RougeScore(0.0, 0.0, 0.0)
+    overlap = sum((cand & ref).values())
+    return RougeScore.from_pr(overlap / cand_total, overlap / ref_total)
+
+
+def _oracle_rouge_l(candidate: str, reference: str) -> RougeScore:
+    cand, ref = _oracle_tokens(candidate), _oracle_tokens(reference)
+    if not cand or not ref:
+        return RougeScore(0.0, 0.0, 0.0)
+    lcs = len(_classic_ref_positions(ref, cand))
+    return RougeScore.from_pr(lcs / len(cand), lcs / len(ref))
+
+
+def _oracle_summary_rouge_l(candidate: str, reference: str) -> RougeScore:
+    """Summary-level ROUGE-L one sentence pair at a time: the union of the
+    classic backtrack positions of each reference sentence against every
+    candidate sentence, spent against the candidate's token counts."""
+
+    def sentences(text):
+        if not text.strip():
+            return []
+        return [tokens for tokens in map(_oracle_tokens, split_sentences(text)) if tokens]
+
+    cand_sentences, ref_sentences = sentences(candidate), sentences(reference)
+    cand_total = sum(map(len, cand_sentences))
+    ref_total = sum(map(len, ref_sentences))
+    if cand_total == 0 or ref_total == 0:
+        return RougeScore(0.0, 0.0, 0.0)
+    remaining = Counter(token for sentence in cand_sentences for token in sentence)
+    hits = 0
+    for ref in ref_sentences:
+        union = set().union(*(_classic_ref_positions(ref, cand) for cand in cand_sentences))
+        for position in sorted(union):
+            if remaining[ref[position]] > 0:
+                remaining[ref[position]] -= 1
+                hits += 1
+    return RougeScore.from_pr(hits / cand_total, hits / ref_total)
+
+
+# Three words, sentence ends, a final sigma, NBSP, tabs and bare punctuation.
+_rouge_texts = st.lists(
+    st.sampled_from(
+        ["a", "b", "c", "B", ".", "!", "?", "...", "Σ", "\xa0", "\t", " ", " ", "--"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rouge_texts, _rouge_texts)
+def test_rouge_scores_match_per_sentence_pair_oracle(candidate, reference):
+    assert rouge_n(candidate, reference, 1) == _oracle_rouge_n(candidate, reference, 1)
+    assert rouge_n(candidate, reference, 2) == _oracle_rouge_n(candidate, reference, 2)
+    assert rouge_l(candidate, reference) == _oracle_rouge_l(candidate, reference)
+    assert rouge_l(candidate, reference, sentence_split=True) == _oracle_summary_rouge_l(
+        candidate, reference
+    )
 
 
 def test_mean_scores():
