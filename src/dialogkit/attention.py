@@ -188,15 +188,23 @@ def _softmax(
 
 
 def _softmax_pullback(
-    scaled_q: np.ndarray, k: np.ndarray, v: np.ndarray, weights: np.ndarray, d_out: np.ndarray
+    scaled_q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    weights: np.ndarray,
+    d_out: np.ndarray,
+    out_k: np.ndarray | None = None,
+    out_v: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_scaled_q, d_k, d_v) of weights @ v, where weights is
-    _softmax(scaled_q, k, ...). Masked entries weigh 0 and so pull back 0."""
-    d_v = np.swapaxes(weights, -1, -2) @ d_out
+    _softmax(scaled_q, k, ...). Masked entries weigh 0 and so pull back 0.
+    d_k and d_v are written into ``out_k`` and ``out_v`` when given."""
+    d_v = np.matmul(np.swapaxes(weights, -1, -2), d_out, out=out_v)
     d_logits = d_out @ np.swapaxes(v, -1, -2)
     d_logits -= np.einsum("...ij,...ij->...i", weights, d_logits)[..., None]
     d_logits *= weights
-    return d_logits @ k, np.swapaxes(d_logits, -1, -2) @ scaled_q, d_v
+    d_k = np.matmul(np.swapaxes(d_logits, -1, -2), scaled_q, out=out_k)
+    return d_logits @ k, d_k, d_v
 
 
 # Full attention walks the queries in chunks of rows sized so that one
@@ -228,15 +236,17 @@ def full_attention_backward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_q, d_k, d_v) of full_attention, recomputing each query
-    chunk's weights instead of keeping them."""
+    chunk's weights instead of keeping them. Each chunk's d_k and d_v
+    partials go into two buffers allocated once per call."""
     q, k, v = _check_qkv(q, k, v)
     d_out = _check_d_out(d_out, q)
     scale = 1.0 / math.sqrt(q.shape[1])
     d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    part_k, part_v = np.empty_like(k), np.empty_like(v)
     for rows, scaled_q in _query_chunks(q * scale):
-        d_q[rows], part_k, part_v = _softmax_pullback(
-            scaled_q, k, v, _softmax(scaled_q, k), d_out[rows]
-        )
+        d_q[rows] = _softmax_pullback(
+            scaled_q, k, v, _softmax(scaled_q, k), d_out[rows], part_k, part_v
+        )[0]
         d_k += part_k
         d_v += part_v
     d_q *= scale

@@ -18,7 +18,9 @@ candidate sentence against all the reference sentences packed into one bit
 vector, and the pair's passes share one call of the kernel.
 
 All of it is pure Python: ROUGE-L backtracks through the bit-parallel LCS
-columns of :mod:`.kernels`, and Pk/WinDiff count over plain lists.
+columns of :mod:`.kernels`, and Pk/WinDiff sweep the points where a
+boundary enters or leaves a window, O(B log B) per pair for B boundaries,
+with no per-turn lists.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import ne
+from itertools import chain, compress, repeat
+from operator import index
 from typing import Iterable, Sequence
 
 from .core import split_sentences, tokenize
-from .kernels import lcs_length, lcs_table, match_masks, window_counts
+from .kernels import lcs_length, lcs_table, match_masks, window_errors
 
 
 @dataclass(frozen=True)
@@ -42,21 +44,22 @@ class Segmentation:
 
     ``boundaries`` holds the 0-based indices of turns that end a segment,
     sorted and deduplicated; the final turn is always a segment end and is
-    never stored.
+    never stored. ``turn_count`` and the boundaries must be integers
+    (anything ``operator.index`` accepts); other types raise TypeError.
     """
 
     turn_count: int
     boundaries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.turn_count < 1:
+        turn_count = index(self.turn_count)
+        if turn_count < 1:
             raise ValueError("turn_count must be positive")
-        cleaned = tuple(sorted(set(int(b) for b in self.boundaries)))
-        for b in cleaned:
-            if not 0 <= b <= self.turn_count - 2:
-                raise ValueError(
-                    f"boundary {b} outside [0, {self.turn_count - 2}]"
-                )
+        cleaned = tuple(sorted(set(map(index, self.boundaries))))
+        if cleaned and (cleaned[0] < 0 or cleaned[-1] > turn_count - 2):
+            b = next(b for b in cleaned if not 0 <= b <= turn_count - 2)
+            raise ValueError(f"boundary {b} outside [0, {turn_count - 2}]")
+        object.__setattr__(self, "turn_count", turn_count)
         object.__setattr__(self, "boundaries", cleaned)
 
     @property
@@ -79,9 +82,7 @@ def labels_to_segmentation(labels: Sequence[int]) -> Segmentation:
         raise ValueError("labels must be non-empty")
     if not set(labels) <= {0, 1}:
         raise ValueError("labels must be 0 or 1")
-    boundaries = tuple(
-        i for i, label in enumerate(labels[:-1]) if label
-    )
+    boundaries = tuple(compress(range(len(labels) - 1), labels))
     return Segmentation(len(labels), boundaries)
 
 
@@ -103,7 +104,7 @@ def default_window_size(reference: Segmentation) -> int:
 def _pk_windiff(
     reference: Segmentation, hypothesis: Segmentation, k: int | None = None
 ) -> tuple[float, float]:
-    """Pk and WinDiff from one pair of window counts."""
+    """Pk and WinDiff from one sweep over the two boundary sets."""
     if reference.turn_count != hypothesis.turn_count:
         raise ValueError(
             f"turn counts differ: {reference.turn_count} vs {hypothesis.turn_count}"
@@ -113,12 +114,12 @@ def _pk_windiff(
     if not 0 < k < reference.turn_count:
         raise ValueError(f"window size needs 0 < k < {reference.turn_count} turns, got {k}")
     # Windows slide over the turn_count - 1 slots between turns, so the
-    # final turn's implicit label is dropped.
-    ref_counts = window_counts(segmentation_to_labels(reference)[:-1], k)
-    hyp_counts = window_counts(segmentation_to_labels(hypothesis)[:-1], k)
-    disagreements = sum(map(ne, map(bool, ref_counts), map(bool, hyp_counts)))
-    differences = sum(map(ne, ref_counts, hyp_counts))
-    return disagreements / len(ref_counts), differences / len(ref_counts)
+    # final turn's implicit boundary is never counted.
+    disagreements, differences = window_errors(
+        reference.boundaries, hypothesis.boundaries, reference.turn_count - 1, k
+    )
+    positions = reference.turn_count - k
+    return disagreements / positions, differences / positions
 
 
 def pk(
@@ -153,9 +154,8 @@ def baseline_random(
     probability; one uniform draw per index in order."""
     if not 0.0 <= boundary_prob <= 1.0:
         raise ValueError("boundary_prob must be in [0, 1]")
-    boundaries = tuple(
-        i for i in range(turn_count - 1) if rng.random() < boundary_prob
-    )
+    draw = rng.random
+    boundaries = tuple([i for i in range(turn_count - 1) if draw() < boundary_prob])
     return Segmentation(turn_count, boundaries)
 
 

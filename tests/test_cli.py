@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -561,6 +562,55 @@ def test_eval_seg_baselines_add_four_rows(tmp_path, capsys):
         ("even", False),
         ("even", True),
     ]
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_eval_seg_rows_match_brute_force_on_long_dialogues(tmp_path, capsys, monkeypatch, k):
+    # The bench's label files: 50 to 800 turns, about 5% boundaries. Every
+    # row, baselines included, must equal the per-window definitions.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "dkbench"))
+    import gen
+
+    from dialogkit.metrics import baseline_even, baseline_random, labels_to_segmentation
+    from tests.test_metrics import brute_force_pk, brute_force_windiff
+
+    references, hypotheses = gen.make_labels(2109, 40)
+    ref, hyp = tmp_path / "ref.jsonl", tmp_path / "hyp.jsonl"
+    ref.write_text("".join(line + "\n" for line in references), encoding="utf-8")
+    hyp.write_text("".join(line + "\n" for line in hypotheses), encoding="utf-8")
+    args = ["eval-seg", str(ref), str(hyp), "--baselines", "--k", str(k), "--seed", "7"]
+    assert main(args) == 0
+    rows, _ = _stdout_rows(capsys)
+
+    def segmentations(lines):
+        records = map(json.loads, lines)
+        return {r["id"]: labels_to_segmentation(r["labels"]) for r in records}
+
+    reference = segmentations(references)
+    rng = random.Random(7)
+    candidates = {
+        None: segmentations(hypotheses),
+        "random": {
+            i: baseline_random(r.turn_count, len(r.boundaries) / (r.turn_count - 1), rng)
+            for i, r in reference.items()
+        },
+        "even": {
+            i: baseline_even(r.turn_count, len(r.boundaries) + 1) for i, r in reference.items()
+        },
+    }
+    assert len(rows) == 3 * (len(reference) + 1)
+    for kind, scored in candidates.items():
+        pk_values, wd_values = [], []
+        for identifier, seg in reference.items():
+            row = rows.pop(0)
+            assert (row["id"], row.get("baseline")) == (identifier, kind)
+            pk_values.append(brute_force_pk(seg, scored[identifier], k))
+            wd_values.append(brute_force_windiff(seg, scored[identifier], k))
+            assert (row["pk"], row["windiff"]) == (pk_values[-1], wd_values[-1])
+        mean = rows.pop(0)
+        assert mean["mean"] and mean.get("baseline") == kind
+        assert mean["pk"] == sum(pk_values) / len(pk_values)
+        assert mean["windiff"] == sum(wd_values) / len(wd_values)
 
 
 def test_eval_seg_id_mismatch(tmp_path, capsys):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogkit import kernels
+from dialogkit.metrics import Segmentation, default_window_size
 
 
 def _classic_table(a: list[str], b: list[str]) -> list[list[int]]:
@@ -101,22 +103,84 @@ def test_lcs_table_none_separates_packed_sequences():
                 assert cells == _classic_table(a_piece, b_piece)
 
 
-def test_window_counts_matches_naive_loop():
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        n = int(rng.integers(2, 40))
-        labels = rng.integers(0, 2, size=n).astype(np.int64)
-        k = int(rng.integers(1, n + 1))
-        expected = np.array(
-            [labels[i : i + k].sum() for i in range(n - k + 1)], dtype=np.int64
+def _naive_window_errors(
+    reference: tuple[int, ...], hypothesis: tuple[int, ...], slots: int, k: int
+) -> tuple[int, int]:
+    """Pk and WinDiff error counts by summing the labels of every window."""
+    ref_set, hyp_set = set(reference), set(hypothesis)
+    ref_labels = [1 if slot in ref_set else 0 for slot in range(slots)]
+    hyp_labels = [1 if slot in hyp_set else 0 for slot in range(slots)]
+    pk_errors = windiff_errors = 0
+    for i in range(slots - k + 1):
+        ref_count, hyp_count = sum(ref_labels[i : i + k]), sum(hyp_labels[i : i + k])
+        pk_errors += (ref_count == 0) != (hyp_count == 0)
+        windiff_errors += ref_count != hyp_count
+    return pk_errors, windiff_errors
+
+
+def test_window_errors_matches_naive_loop():
+    rng = random.Random(3)
+    for _ in range(300):
+        slots = rng.randrange(1, 40)
+        density = rng.random()
+        reference, hypothesis = (
+            tuple(s for s in range(slots) if rng.random() < density) for _ in range(2)
         )
-        np.testing.assert_array_equal(kernels.window_counts(labels, k), expected)
+        k = rng.randrange(1, slots + 1)
+        assert kernels.window_errors(reference, hypothesis, slots, k) == _naive_window_errors(
+            reference, hypothesis, slots, k
+        )
 
 
-def test_window_counts_validates_k():
-    labels = np.array([1, 0, 1], dtype=np.int64)
+def test_window_errors_validates_k():
     with pytest.raises(ValueError):
-        kernels.window_counts(labels, 0)
+        kernels.window_errors((0, 2), (), 3, 0)
     with pytest.raises(ValueError):
-        kernels.window_counts(labels, 4)
-    assert list(kernels.window_counts(labels, 3)) == [2]
+        kernels.window_errors((0, 2), (), 3, 4)
+    assert kernels.window_errors((0, 2), (), 3, 3) == (1, 1)
+    assert kernels.window_errors((0, 2), (1,), 3, 3) == (0, 1)
+
+
+@st.composite
+def boundary_sets(draw, slots: int) -> tuple[int, ...]:
+    """Empty, sparse, randomly dense or nearly full boundary slots, with
+    the first and last slot added on demand."""
+    kind = draw(st.sampled_from(["empty", "sparse", "random", "dense"]))
+    few = st.sets(st.integers(min_value=0, max_value=slots - 1), max_size=12)
+    if kind == "empty":
+        chosen = set()
+    elif kind == "sparse":
+        chosen = draw(few)
+    elif kind == "random":
+        density = draw(st.floats(min_value=0.0, max_value=1.0))
+        rng = draw(st.randoms(use_true_random=False))
+        chosen = {slot for slot in range(slots) if rng.random() < density}
+    else:
+        chosen = set(range(slots)) - draw(few)
+    if draw(st.booleans()):
+        chosen |= {0, slots - 1}
+    return tuple(sorted(chosen))
+
+
+@st.composite
+def window_cases(draw):
+    turn_count = draw(st.integers(min_value=2, max_value=800))
+    slots = turn_count - 1
+    reference = draw(boundary_sets(slots))
+    hypothesis = draw(boundary_sets(slots))
+    # k = 1, k = turn_count - 1, the default k of the metrics and one more.
+    default_k = default_window_size(Segmentation(turn_count, reference))
+    ks = {1, slots, draw(st.integers(min_value=1, max_value=slots))}
+    if default_k <= slots:
+        ks.add(default_k)
+    return reference, hypothesis, slots, sorted(ks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+def test_window_errors_equal_naive_loop_at_bench_sizes(case):
+    reference, hypothesis, slots, ks = case
+    for k in ks:
+        assert kernels.window_errors(reference, hypothesis, slots, k) == _naive_window_errors(
+            reference, hypothesis, slots, k
+        )

@@ -78,6 +78,17 @@ def test_segmentation_normalizes_and_validates():
     with pytest.raises(ValueError):
         Segmentation(0, ())
     assert Segmentation(1, ()).segment_lengths == (1,)
+    # Non-integers are refused, not truncated or parsed.
+    with pytest.raises(TypeError):
+        Segmentation(10, (2.9,))
+    with pytest.raises(TypeError):
+        pk(Segmentation(10, (2.9,)), Segmentation(10, (3,)), 2)
+    with pytest.raises(TypeError):
+        Segmentation(5, ("2",))
+    with pytest.raises(TypeError):
+        Segmentation(5.5, ())
+    with pytest.raises(ValueError, match=r"boundary 9 outside \[0, 8\]"):
+        Segmentation(10, (3, 9, 12))
 
 
 def test_labels_round_trip():
