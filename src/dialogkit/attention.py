@@ -15,9 +15,11 @@ output cotangent and returns input cotangents; :func:`gradient_check`
 compares any such pair against central finite differences. No autograd
 framework is involved, which keeps the kernels auditable and the derivative
 tests honest. Both layer kinds share one masked row softmax and its
-pullback: the sparse layer runs them once over all blocks, the full layer
-once per query chunk, so it never holds more than a few chunk-by-L arrays
-and memory is O(L·chunk) rather than O(L²).
+pullback, and walk their work in slices within one budget of temporaries:
+full attention in query chunks, the sparse layer in groups of whole blocks.
+Each holds O(L·d) arrays plus one chunk or group, never L×L or L×block:
+the full backward its cotangents and one scratch partial, the sparse layer
+its mixed keys and values (overwritten by their cotangents) and d_q, d_k, d_v.
 
 Sorting matrices are plain float arrays. After ``iterations`` Sinkhorn
 passes plus one closing row pass, every row sums to 1 within 1e-6 and
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,21 +162,22 @@ def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     return q, k, v
 
 
-def _check_d_out(d_out: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _check_d_out(d_out: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != q.shape:
+    if d_out.shape != shape:
         raise ValueError("d_out must have the (seq_len, dim) shape of q")
     return d_out
 
 
 def _softmax(
-    scaled_q: np.ndarray, k: np.ndarray, valid: np.ndarray | None = None
+    scaled_q: np.ndarray, k: np.ndarray,
+    valid: np.ndarray | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention weights: the row softmax of scaled_q kᵀ, for one (rows, d)
-    query chunk or a batch of blocks. ``valid`` broadcasts against the
-    scores; a masked column weighs 0 and a row with no valid column is all
-    zero, never NaN."""
-    weights = scaled_q @ np.swapaxes(k, -1, -2)
+    query chunk or a batch of blocks, written into ``out`` when given.
+    ``valid`` broadcasts against the scores; a masked column weighs 0 and a
+    row with no valid column is all zero, never NaN."""
+    weights = np.matmul(scaled_q, np.swapaxes(k, -1, -2), out=out)
     if valid is not None:
         np.copyto(weights, -np.inf, where=~valid)
     peak = weights.max(axis=-1, keepdims=True)
@@ -188,68 +191,70 @@ def _softmax(
 
 
 def _softmax_pullback(
-    scaled_q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    weights: np.ndarray,
-    d_out: np.ndarray,
-    out_k: np.ndarray | None = None,
-    out_v: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents (d_scaled_q, d_k, d_v) of weights @ v, where weights is
-    _softmax(scaled_q, k, ...). Masked entries weigh 0 and so pull back 0.
-    d_k and d_v are written into ``out_k`` and ``out_v`` when given."""
-    d_v = np.matmul(np.swapaxes(weights, -1, -2), d_out, out=out_v)
-    d_logits = d_out @ np.swapaxes(v, -1, -2)
+    weights: np.ndarray, d_out: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Cotangent of the scaled scores behind weights = _softmax(...), given
+    the cotangent d_out of weights @ v, written into ``out`` when given.
+    Masked entries weigh 0 and so pull back 0."""
+    d_logits = np.matmul(d_out, np.swapaxes(v, -1, -2), out=out)
     d_logits -= np.einsum("...ij,...ij->...i", weights, d_logits)[..., None]
     d_logits *= weights
-    d_k = np.matmul(np.swapaxes(d_logits, -1, -2), scaled_q, out=out_k)
-    return d_logits @ k, d_k, d_v
+    return d_logits
 
 
-# Full attention walks the queries in chunks of rows sized so that one
-# chunk of scores holds about this many float64 entries (2 MB), whatever
-# the sequence length; no L x L array is ever allocated.
+# Both layer kinds walk their work in slices whose temporaries hold about
+# this many float64 entries (2 MB): full attention one chunk of query rows'
+# scores at a time, the sparse layer one group of whole blocks.
 _CHUNK_ENTRIES = 2**18
 
 
-def _query_chunks(scaled_q: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, scaled_q[rows]) per query chunk. Every chunk holds whole key
-    rows, so each row is normalized on its own with no running log-sum-exp."""
-    step = max(1, _CHUNK_ENTRIES // len(scaled_q))
-    for start in range(0, len(scaled_q), step):
-        rows = slice(start, start + step)
-        yield rows, scaled_q[rows]
+def _chunks(count: int, entries_each: int) -> list[slice]:
+    """Slices of range(count), _CHUNK_ENTRIES // entries_each long (≥ 1)."""
+    step = max(1, _CHUNK_ENTRIES // entries_each)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def full_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Standard softmax(q kᵀ / sqrt(d)) v, computed in query chunks with
-    O(L·chunk) memory."""
+    O(L·chunk) memory. Every chunk holds whole key rows, so each row is
+    normalized on its own with no running log-sum-exp."""
     q, k, v = _check_qkv(q, k, v)
+    scale = 1.0 / math.sqrt(q.shape[1])
     out = np.empty_like(v)
-    for rows, scaled_q in _query_chunks(q * (1.0 / math.sqrt(q.shape[1]))):
-        out[rows] = _softmax(scaled_q, k) @ v
+    for rows in _chunks(len(q), len(k)):
+        out[rows] = _softmax(q[rows] * scale, k) @ v
     return out
+
+
+def _full_chunk_pullback(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, grads: tuple
+) -> np.ndarray:
+    """One query chunk of full_attention_backward. Its d_v, then its d_k
+    partial are formed in part and added into d_k and d_v, with its weights
+    and their cotangent in scores; returns d_q before the 1/sqrt(d) scale."""
+    d_k, d_v, part, scores = grads
+    scaled_q = q * (1.0 / math.sqrt(q.shape[1]))
+    weights = _softmax(scaled_q, k, out=scores[0, : len(q)])
+    d_v += np.matmul(weights.T, d_out, out=part)
+    d_logits = _softmax_pullback(weights, d_out, v, out=scores[1, : len(q)])
+    d_k += np.matmul(d_logits.T, scaled_q, out=part)
+    return d_logits @ k
 
 
 def full_attention_backward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_q, d_k, d_v) of full_attention, recomputing each query
-    chunk's weights instead of keeping them. Each chunk's d_k and d_v
-    partials go into two buffers allocated once per call."""
+    chunk's weights. Scratch made once per call, not per chunk, holds each
+    chunk's d_v and d_k partials, its weights and their cotangent."""
     q, k, v = _check_qkv(q, k, v)
-    d_out = _check_d_out(d_out, q)
-    scale = 1.0 / math.sqrt(q.shape[1])
+    d_out = _check_d_out(d_out, q.shape)
     d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-    part_k, part_v = np.empty_like(k), np.empty_like(v)
-    for rows, scaled_q in _query_chunks(q * scale):
-        d_q[rows] = _softmax_pullback(
-            scaled_q, k, v, _softmax(scaled_q, k), d_out[rows], part_k, part_v
-        )[0]
-        d_k += part_k
-        d_v += part_v
-    d_q *= scale
+    chunks = _chunks(len(q), len(k))
+    grads = d_k, d_v, np.empty_like(k), np.empty((2, len(q[chunks[0]]), len(k)))
+    for rows in chunks:
+        d_q[rows] = _full_chunk_pullback(q[rows], k, v, d_out[rows], grads)
+    d_q *= 1.0 / math.sqrt(q.shape[1])
     return d_q, d_k, d_v
 
 
@@ -325,10 +330,14 @@ def _real_blocks(spec: AttentionSpec, n_real: int) -> np.ndarray:
 
 def _pad_blocks(m: np.ndarray, spec: AttentionSpec, n_real: int) -> np.ndarray:
     """Rows of m before n_real, zero elsewhere and past seq_len, as
-    (num_blocks, block_size, model_dim)."""
+    (num_blocks, block_size, model_dim). With no padding at all this is a
+    reshape view of m, so callers never write into it."""
+    shape = spec.num_blocks, spec.block_size, spec.model_dim
+    if n_real == spec.padded_len:
+        return m.reshape(shape)
     out = np.zeros((spec.padded_len, spec.model_dim))
     out[:n_real] = m[:n_real]
-    return out.reshape(spec.num_blocks, spec.block_size, spec.model_dim)
+    return out.reshape(shape)
 
 
 def _unpad(blocked: np.ndarray, spec: AttentionSpec, n_real: int) -> np.ndarray:
@@ -338,69 +347,58 @@ def _unpad(blocked: np.ndarray, spec: AttentionSpec, n_real: int) -> np.ndarray:
     return flat
 
 
-def _check_attention_args(
+def _sparse_blocks(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     spec: AttentionSpec,
     sorting: np.ndarray,
     n_real: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[tuple[np.ndarray, ...], list[slice], int]:
+    """Checked inputs as (blocks, groups, n_real); blocks is (sorting, valid,
+    qb, kb, vb, mixed_k, mixed_v). All blocks mix in one product, so no bit
+    depends on the grouping; a group's blocks each hold about
+    4·block·(block + 2·d) entries of weights, keys, values and cotangents."""
     q, k, v = _check_qkv(q, k, v)
     if q.shape != (spec.seq_len, spec.model_dim):
         raise ValueError("inputs must be (spec.seq_len, spec.model_dim)")
     sorting = np.asarray(sorting, dtype=np.float64)
     if sorting.shape != (spec.num_blocks, spec.num_blocks):
         raise ValueError("sorting must be num_blocks x num_blocks")
-    return q, k, v, sorting, _resolve_n_real(spec, n_real)
-
-
-def _own_and_mixed(
-    m: np.ndarray, spec: AttentionSpec, sorting: np.ndarray, n_real: int
-) -> np.ndarray:
-    """Padded blocks of m, each followed by its sorting-mixed block
-    Σ_b' sorting[b, b'] m[b'], as (num_blocks, 2 * block_size, model_dim)."""
-    own = _pad_blocks(m, spec, n_real)
-    mixed = (sorting @ own.reshape(spec.num_blocks, -1)).reshape(own.shape)
-    return np.concatenate([own, mixed], axis=1)
-
-
-def _sparse_weights(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    spec: AttentionSpec,
-    sorting: np.ndarray,
-    n_real: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sparse layer's forward on checked inputs, all blocks at once.
-
-    Returns (scaled_qb, cat_k, cat_v, weights). scaled_qb is the padded
-    queries over sqrt(d) as (num_blocks, block_size, model_dim); cat_k and
-    cat_v hold each block's own keys/values followed by its mixed ones.
-    weights is (num_blocks, block_size, 2 * block_size) from _softmax, zero
-    at invalid columns and in every row with no valid column, so the
-    blocked output is weights @ cat_v, with rows from n_real on still to be
-    zeroed.
-    """
+    n_real = _resolve_n_real(spec, n_real)
     real = _real_blocks(spec, n_real)
     valid = np.concatenate([real, sorting @ real], axis=1) > 0.0
-    scaled_qb = _pad_blocks(q, spec, n_real)
-    scaled_qb *= 1.0 / math.sqrt(spec.model_dim)
-    cat_k = _own_and_mixed(k, spec, sorting, n_real)
-    cat_v = _own_and_mixed(v, spec, sorting, n_real)
-    return scaled_qb, cat_k, cat_v, _softmax(scaled_qb, cat_k, valid[:, None, :])
+    qb, kb, vb = (_pad_blocks(m, spec, n_real) for m in (q, k, v))
+    mixed = ((sorting @ m.reshape(spec.num_blocks, -1)).reshape(m.shape) for m in (kb, vb))
+    size = spec.block_size
+    groups = _chunks(spec.num_blocks, 4 * size * (size + 2 * spec.model_dim))
+    return (sorting, valid[:, None, :], qb, kb, vb, *mixed), groups, n_real
 
 
-def _pull_back_mix(
-    d_cat: np.ndarray, cat: np.ndarray, sorting: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangents of the own blocks and of sorting, given the cotangent of
-    an _own_and_mixed stack."""
-    blocks, size = len(cat), cat.shape[1] // 2
-    d_mixed = d_cat[:, size:].reshape(blocks, -1)
-    d_own = d_cat[:, :size] + (sorting.T @ d_mixed).reshape(blocks, size, -1)
-    return d_own, d_mixed @ cat[:, :size].reshape(blocks, -1).T
+def _group_weights(group: slice, blocks: tuple) -> tuple[np.ndarray, ...]:
+    """One group's sparse forward as (weights, cat_v, scaled_q, cat_k): its
+    queries over sqrt(d), each block's own keys/values then its mixed ones,
+    and the _softmax weights, so the group's output is weights @ cat_v."""
+    _, valid, qb, kb, vb, mixed_k, mixed_v = blocks
+    scaled_q = qb[group] * (1.0 / math.sqrt(qb.shape[2]))
+    cat_k = np.concatenate([kb[group], mixed_k[group]], axis=1)
+    cat_v = np.concatenate([vb[group], mixed_v[group]], axis=1)
+    return _softmax(scaled_q, cat_k, valid[group]), cat_v, scaled_q, cat_k
+
+
+def _group_pullback(group: slice, blocks: tuple, d_outb: np.ndarray, grads: tuple) -> None:
+    """One group of sinkhorn_attention_backward: writes d_q (unscaled) and
+    the own key and value cotangents into grads, and the mixed ones over the
+    group's rows of mixed_k and mixed_v, which no later group reads."""
+    weights, cat_v, scaled_q, cat_k = _group_weights(group, blocks)
+    d_out = d_outb[group]
+    d_cat_v = np.swapaxes(weights, 1, 2) @ d_out
+    d_logits = _softmax_pullback(weights, d_out, cat_v)
+    d_cat_k = np.swapaxes(d_logits, 1, 2) @ scaled_q
+    (d_qb, d_kb, d_vb), (mixed_k, mixed_v) = grads, blocks[5:]
+    d_qb[group] = d_logits @ cat_k
+    d_kb[group], mixed_k[group] = np.split(d_cat_k, 2, axis=1)
+    d_vb[group], mixed_v[group] = np.split(d_cat_v, 2, axis=1)
 
 
 def sinkhorn_attention(
@@ -421,9 +419,11 @@ def sinkhorn_attention(
     are zero. Positions at index n_real and beyond count as padding
     (default: none).
     """
-    q, k, v, sorting, n_real = _check_attention_args(q, k, v, spec, sorting, n_real)
-    _, _, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
-    return _unpad(weights @ cat_v, spec, n_real)
+    blocks, groups, n_real = _sparse_blocks(q, k, v, spec, sorting, n_real)
+    out = np.empty((spec.num_blocks, spec.block_size, spec.model_dim))
+    for group in groups:
+        out[group] = np.matmul(*_group_weights(group, blocks)[:2])
+    return _unpad(out, spec, n_real)
 
 
 def sinkhorn_attention_backward(
@@ -435,21 +435,21 @@ def sinkhorn_attention_backward(
     d_out: np.ndarray,
     n_real: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents (d_q, d_k, d_v, d_sorting) of sinkhorn_attention."""
-    q, k, v, sorting, n_real = _check_attention_args(q, k, v, spec, sorting, n_real)
-    scaled_qb, cat_k, cat_v, weights = _sparse_weights(q, k, v, spec, sorting, n_real)
-    d_outb = _pad_blocks(_check_d_out(d_out, q), spec, n_real)
-    d_qb, d_cat_k, d_cat_v = _softmax_pullback(scaled_qb, cat_k, cat_v, weights, d_outb)
+    """Cotangents (d_q, d_k, d_v, d_sorting) of sinkhorn_attention; mixed
+    parts pull back through sorting once, after the walk over groups."""
+    blocks, groups, n_real = _sparse_blocks(q, k, v, spec, sorting, n_real)
+    d_outb = _pad_blocks(_check_d_out(d_out, (spec.seq_len, spec.model_dim)), spec, n_real)
+    d_qb, d_kb, d_vb = grads = tuple(np.empty(d_outb.shape) for _ in range(3))
+    for group in groups:
+        _group_pullback(group, blocks, d_outb, grads)
+    sorting, _, _, kb, vb, d_mixed_k, d_mixed_v = blocks
     d_qb *= 1.0 / math.sqrt(spec.model_dim)
-    d_kb, d_sorting = _pull_back_mix(d_cat_k, cat_k, sorting)
-    d_vb, d_sorting_v = _pull_back_mix(d_cat_v, cat_v, sorting)
-    d_sorting += d_sorting_v
-    return (
-        _unpad(d_qb, spec, n_real),
-        _unpad(d_kb, spec, n_real),
-        _unpad(d_vb, spec, n_real),
-        d_sorting,
-    )
+    d_sorting = []
+    for d_own, d_mixed, own in ((d_kb, d_mixed_k, kb), (d_vb, d_mixed_v, vb)):
+        d_mixed = d_mixed.reshape(spec.num_blocks, -1)
+        d_own += (sorting.T @ d_mixed).reshape(d_own.shape)
+        d_sorting.append(d_mixed @ own.reshape(spec.num_blocks, -1).T)
+    return (*(_unpad(grad, spec, n_real) for grad in grads), d_sorting[0] + d_sorting[1])
 
 
 def mean_pool_blocks(
@@ -529,7 +529,7 @@ def sinkhorn_block_attention_backward(
     d_summaries = np.zeros((spec.num_blocks, spec.model_dim))
     d_summaries[mask] = d_summaries_sub / real[mask].sum(axis=1, keepdims=True)
     d_pool = real[:, :, None] * d_summaries[:, None, :]
-    d_k = d_k + d_pool.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
+    d_k += d_pool.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
     return d_q, d_k, d_v, d_mixing
 
 

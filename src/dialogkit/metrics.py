@@ -76,12 +76,13 @@ def labels_to_segmentation(labels: Sequence[int]) -> Segmentation:
     """Binary per-turn labels (1 = segment end) to a Segmentation.
 
     A label on the final turn is redundant and dropped. Labels other than
-    0 and 1 raise ValueError.
+    the ints 0 and 1 raise ValueError; ``True``, ``1.0`` and the like are
+    refused even though they compare equal to 1.
     """
     if not labels:
         raise ValueError("labels must be non-empty")
-    if not set(labels) <= {0, 1}:
-        raise ValueError("labels must be 0 or 1")
+    if not set(map(type, labels)) <= {int} or not set(labels) <= {0, 1}:
+        raise ValueError("labels must be the integers 0 or 1")
     boundaries = tuple(compress(range(len(labels) - 1), labels))
     return Segmentation(len(labels), boundaries)
 

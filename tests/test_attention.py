@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,17 +255,63 @@ def test_gradient_full_attention_over_several_chunks(monkeypatch):
     assert error < 1e-4
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_full_attention_backward_memory_stays_below_one_score_matrix():
     seq_len = 2048
     q, k, v = _random_qkv(np.random.default_rng(17), seq_len, 64)
     d_out = np.ones_like(q)
+    peak = _traced_peak(lambda: full_attention_backward(q, k, v, d_out))
+    assert peak < seq_len * seq_len * 8
+
+
+# Traced peaks at L=4096, d=64, block 64, in (L, d) float64 arrays. Each
+# layer holds a few such arrays plus one bounded query chunk or block group:
+# the sparse forward its output and the mixed keys and values, the sparse
+# backward those and d_q, d_k, d_v, the full backward its three cotangents
+# and one scratch partial. Measured: 3.62, 6.40 and 6.05 arrays.
+@pytest.mark.parametrize(
+    "layer, arrays",
+    [("sparse_forward", 4.0), ("sparse_backward", 7.0), ("full_backward", 6.5)],
+)
+def test_layer_memory_is_a_few_sequence_arrays(layer, arrays):
+    seq_len, dim = 4096, 64
+    rng = np.random.default_rng(18)
+    q, k, v = _random_qkv(rng, seq_len, dim)
+    mixing = rng.standard_normal((dim, dim)) / math.sqrt(dim)
+    spec = AttentionSpec(seq_len=seq_len, model_dim=dim, block_size=64)
+    calls = {
+        "sparse_forward": lambda: sinkhorn_block_attention(q, k, v, mixing, spec),
+        "sparse_backward": lambda: sinkhorn_block_attention_backward(q, k, v, mixing, spec, q),
+        "full_backward": lambda: full_attention_backward(q, k, v, q),
+    }
+    assert _traced_peak(calls[layer]) < arrays * seq_len * dim * 8
+
+
+def test_hybrid_stack_pass_memory_is_its_activations_plus_one_layer():
+    # The benchmark's 12-layer stack at L=2048, d=64: the forward keeps its
+    # 12 layer outputs, one (L, d) array each, and the largest layer's
+    # working memory comes on top. Measured: 21.3 arrays.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "dkbench"))
+    import stack
+
+    layers = stack.Stack(19, 2048, 32)
     tracemalloc.start()
     try:
-        full_attention_backward(q, k, v, d_out)
-        peak = tracemalloc.get_traced_memory()[1]
+        layers.backward(layers.forward())
+        # Each traced layer resets the peak, so a pass reads it from both.
+        peak = max(layers.absolute_peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak < seq_len * seq_len * 8
+    assert peak < 23 * 2048 * 64 * 8
 
 
 def test_sort_blocks_symmetry_and_degeneracy():
@@ -529,36 +577,120 @@ def _sparse_cases(draw, positive_sorting=False, padded=False):
     return spec, q, k, v, sorting, n_real
 
 
+# Blocks per sparse group: None keeps the default budget, which walks
+# these small specs in one group.
+_GROUP_BLOCKS = st.sampled_from([None, 1, 2, 3])
+
+
 @settings(max_examples=60, deadline=None)
-@given(_sparse_cases())
+@given(_sparse_cases(), _GROUP_BLOCKS)
 # nothing real; and three trailing all-pad blocks that mix in real keys
-@example((AttentionSpec(7, 2, 3), *np.ones((3, 7, 2)), np.eye(3), 0))
+@example((AttentionSpec(7, 2, 3), *np.ones((3, 7, 2)), np.eye(3), 0), None)
 @example((AttentionSpec(9, 2, 2), *np.arange(54.0).reshape(3, 9, 2) / 50,
-          np.full((5, 5), 0.2), 3))
-def test_sinkhorn_attention_matches_per_block_oracle(case):
+          np.full((5, 5), 0.2), 3), 2)
+def test_sinkhorn_attention_matches_per_block_oracle(case, group_blocks):
     spec, q, k, v, sorting, n_real = case
-    out = sinkhorn_attention(q, k, v, spec, sorting, n_real)
+    with pytest.MonkeyPatch.context() as patch:
+        _walk_groups_of(patch, spec, group_blocks)
+        out = sinkhorn_attention(q, k, v, spec, sorting, n_real)
+        # blocks with no valid column at all must not leak NaN into cotangents
+        grads = sinkhorn_attention_backward(q, k, v, spec, sorting, np.ones_like(q), n_real)
     assert np.all(np.isfinite(out))
     assert np.all(out[n_real:] == 0.0)
     np.testing.assert_allclose(
         out, _sparse_oracle(q, k, v, sorting, spec.block_size, n_real), rtol=1e-9, atol=1e-12
     )
-    # blocks with no valid column at all must not leak NaN into cotangents
-    grads = sinkhorn_attention_backward(q, k, v, spec, sorting, np.ones_like(q), n_real)
     assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 @settings(max_examples=25, deadline=None)
-@given(_sparse_cases(positive_sorting=True, padded=True), st.integers(0, 2**32 - 1))
-def test_gradient_sinkhorn_attention_with_padding(case, seed):
+@given(
+    _sparse_cases(positive_sorting=True, padded=True), st.integers(0, 2**32 - 1), _GROUP_BLOCKS
+)
+def test_gradient_sinkhorn_attention_with_padding(case, seed, group_blocks):
     spec, q, k, v, sorting, n_real = case
     weights = np.random.default_rng(seed).standard_normal(q.shape)
-    grads = sinkhorn_attention_backward(q, k, v, spec, sorting, weights, n_real)
-    assert all(np.all(np.isfinite(g)) for g in grads)
+    with pytest.MonkeyPatch.context() as patch:
+        _walk_groups_of(patch, spec, group_blocks)
+        grads = sinkhorn_attention_backward(q, k, v, spec, sorting, weights, n_real)
+        assert all(np.all(np.isfinite(g)) for g in grads)
+        error = gradient_check(
+            lambda a, b, c, s: sinkhorn_attention(a, b, c, spec, s, n_real),
+            lambda a, b, c, s, d: sinkhorn_attention_backward(a, b, c, spec, s, d, n_real),
+            [q, k, v, sorting],
+            weights=weights,
+        )
+    assert error < 1e-3
+
+
+def _group_sizes(spec):
+    """Blocks per group, in order, as the sparse layer walks them for spec."""
+    zeros = np.zeros((spec.seq_len, spec.model_dim))
+    sorting = np.eye(spec.num_blocks)
+    _, groups, _ = attention._sparse_blocks(zeros, zeros, zeros, spec, sorting, None)
+    return [len(range(spec.num_blocks)[group]) for group in groups]
+
+
+def _walk_groups_of(patch, spec, blocks):
+    """Set the budget so the sparse layer walks ``blocks`` blocks per group
+    (all but the last), or leave the default when blocks is None. A block's
+    group temporaries count 4·block·(block + 2·d) entries."""
+    if blocks is None:
+        return
+    size = spec.block_size
+    patch.setattr(attention, "_CHUNK_ENTRIES", blocks * 4 * size * (size + 2 * spec.model_dim))
+    whole, rest = divmod(spec.num_blocks, blocks)
+    assert _group_sizes(spec) == [blocks] * whole + [rest] * (rest > 0)
+
+
+@pytest.mark.parametrize(
+    "spec, n_real",
+    [
+        (AttentionSpec(64, 3, 4, sinkhorn_iterations=4), None),
+        (AttentionSpec(62, 3, 4, sinkhorn_iterations=4), 57),
+        (AttentionSpec(1024, 64, 32), 1000),
+    ],
+    ids=["exact-fit", "padded", "bench-size"],
+)
+@pytest.mark.parametrize("group_blocks", [1, 3, 32], ids=["1", "3", "32"])
+def test_block_groups_leave_every_bit_unchanged(monkeypatch, spec, n_real, group_blocks):
+    rng = np.random.default_rng(20)
+    q, k, v = _random_qkv(rng, spec.seq_len, spec.model_dim)
+    d_out = rng.standard_normal(q.shape)
+    mixing = rng.standard_normal((spec.model_dim,) * 2) / math.sqrt(spec.model_dim)
+    sorting = sinkhorn_normalize(rng.standard_normal((spec.num_blocks,) * 2), 4)
+
+    def outputs():
+        return (
+            sinkhorn_attention(q, k, v, spec, sorting, n_real),
+            *sinkhorn_attention_backward(q, k, v, spec, sorting, d_out, n_real),
+            sinkhorn_block_attention(q, k, v, mixing, spec, n_real),
+            *sinkhorn_block_attention_backward(q, k, v, mixing, spec, d_out, n_real),
+        )
+
+    default = outputs()
+    _walk_groups_of(monkeypatch, spec, group_blocks)
+    for got, want in zip(outputs(), default, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_gradient_block_attention_over_several_groups(monkeypatch):
+    rng = np.random.default_rng(21)
+    spec = AttentionSpec(seq_len=18, model_dim=3, block_size=4, sinkhorn_iterations=4)
+    inputs = [rng.standard_normal((18, 3)) for _ in range(3)]
+    mixing = rng.standard_normal((3, 3))
+    _walk_groups_of(monkeypatch, spec, 2)  # groups of 2, 2 and 1 blocks
+    weights = rng.standard_normal((18, 3))
     error = gradient_check(
-        lambda a, b, c, s: sinkhorn_attention(a, b, c, spec, s, n_real),
-        lambda a, b, c, s, d: sinkhorn_attention_backward(a, b, c, spec, s, d, n_real),
-        [q, k, v, sorting],
+        lambda a, b, c, m: sinkhorn_block_attention(a, b, c, m, spec, n_real=13),
+        lambda a, b, c, m, d: sinkhorn_block_attention_backward(a, b, c, m, spec, d, n_real=13),
+        inputs + [mixing],
         weights=weights,
     )
     assert error < 1e-3
+
+
+def test_bench_sized_sparse_layer_walks_several_groups():
+    # the default budget splits L=1024, block 32, d=64 with a partial last
+    # group, so the grouping tests above also cover the default walk
+    assert _group_sizes(AttentionSpec(1024, 64, 32)) == [12, 12, 8]

@@ -638,6 +638,8 @@ def test_eval_seg_malformed_record(tmp_path, capsys):
         pytest.param({"id": 7, "labels": [0, 1]}, None, [], "line 1", id="int-id"),
         pytest.param({"id": ["a"], "labels": [0, 1]}, None, [], "line 1", id="list-id"),
         pytest.param({"id": "a", "labels": ["0", "0", "1", "0"]}, None, [], "line 1", id="str-labels"),
+        pytest.param({"id": "a", "labels": [0, 1.0, 0, 1]}, None, [], "line 1", id="float-labels"),
+        pytest.param({"id": "a", "labels": [False, True, False]}, None, [], "line 1", id="bool-labels"),
     ],
 )
 def test_eval_seg_unscorable_record_is_data_error(

@@ -100,6 +100,11 @@ def test_labels_round_trip():
     assert labels_to_segmentation([0, 0, 0]).boundaries == ()
     with pytest.raises(ValueError):
         labels_to_segmentation([])
+    # bool and float labels compare equal to 0 and 1 but are not labels
+    for bad in ([0, 1.0, 0, 1], [0.0, 1], [1.0], [True, False], [0, True], [False],
+                [0, 2], ["1", 0], [0, None], [[1], 0]):
+        with pytest.raises(ValueError, match="labels must be the integers 0 or 1"):
+            labels_to_segmentation(bad)
 
 
 def test_labels_round_trip_random():
