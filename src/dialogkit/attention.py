@@ -17,9 +17,10 @@ framework is involved, which keeps the kernels auditable and the derivative
 tests honest. Both layer kinds share one masked row softmax and its
 pullback, and walk their work in slices within one budget of temporaries:
 full attention in query chunks, the sparse layer in groups of whole blocks.
-Each holds O(L·d) arrays plus one chunk or group, never L×L or L×block:
-the full backward its cotangents and one scratch partial, the sparse layer
-its mixed keys and values (overwritten by their cotangents) and d_q, d_k, d_v.
+Each holds O(L·d) arrays plus one chunk or group, never L×L or L×block.
+Each backward reruns its layer's forward: the full one walks the same query
+chunks through one score scratch per call, the sparse one takes the same
+sorting step (pooled keys, sort_blocks, identity embedding) and pulls back.
 
 Sorting matrices are plain float arrays. After ``iterations`` Sinkhorn
 passes plus one closing row pass, every row sums to 1 within 1e-6 and
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -214,46 +215,48 @@ def _chunks(count: int, entries_each: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def _full_walk(
+    q: np.ndarray, k: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Yield (rows, scaled_q, weights) per query chunk of full attention:
+    the chunk's queries over sqrt(d) and their _softmax weights against
+    every key. All chunks write their weights into one score scratch made
+    once per call, the first chunk being the longest."""
+    chunks = _chunks(len(q), len(k))
+    scores = np.empty((len(q[chunks[0]]), len(k)))
+    for rows in chunks:
+        scaled_q = q[rows] * (1.0 / math.sqrt(q.shape[1]))
+        yield rows, scaled_q, _softmax(scaled_q, k, out=scores[: len(scaled_q)])
+
+
 def full_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Standard softmax(q kᵀ / sqrt(d)) v, computed in query chunks with
     O(L·chunk) memory. Every chunk holds whole key rows, so each row is
     normalized on its own with no running log-sum-exp."""
     q, k, v = _check_qkv(q, k, v)
-    scale = 1.0 / math.sqrt(q.shape[1])
     out = np.empty_like(v)
-    for rows in _chunks(len(q), len(k)):
-        out[rows] = _softmax(q[rows] * scale, k) @ v
+    for rows, _, weights in _full_walk(q, k):
+        out[rows] = weights @ v
     return out
-
-
-def _full_chunk_pullback(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, grads: tuple
-) -> np.ndarray:
-    """One query chunk of full_attention_backward. Its d_v, then its d_k
-    partial are formed in part and added into d_k and d_v, with its weights
-    and their cotangent in scores; returns d_q before the 1/sqrt(d) scale."""
-    d_k, d_v, part, scores = grads
-    scaled_q = q * (1.0 / math.sqrt(q.shape[1]))
-    weights = _softmax(scaled_q, k, out=scores[0, : len(q)])
-    d_v += np.matmul(weights.T, d_out, out=part)
-    d_logits = _softmax_pullback(weights, d_out, v, out=scores[1, : len(q)])
-    d_k += np.matmul(d_logits.T, scaled_q, out=part)
-    return d_logits @ k
 
 
 def full_attention_backward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents (d_q, d_k, d_v) of full_attention, recomputing each query
-    chunk's weights. Scratch made once per call, not per chunk, holds each
-    chunk's d_v and d_k partials, its weights and their cotangent."""
+    """Cotangents (d_q, d_k, d_v) of full_attention, walking the forward's
+    query chunks again. Scratch made once per call, not per chunk, holds
+    each chunk's d_v and then d_k partial and its weights' cotangent."""
     q, k, v = _check_qkv(q, k, v)
     d_out = _check_d_out(d_out, q.shape)
-    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-    chunks = _chunks(len(q), len(k))
-    grads = d_k, d_v, np.empty_like(k), np.empty((2, len(q[chunks[0]]), len(k)))
-    for rows in chunks:
-        d_q[rows] = _full_chunk_pullback(q[rows], k, v, d_out[rows], grads)
+    d_q, d_k, d_v, part = np.empty_like(q), np.zeros_like(k), np.zeros_like(v), np.empty_like(k)
+    d_scores = None
+    for rows, scaled_q, weights in _full_walk(q, k):
+        if d_scores is None:
+            d_scores = np.empty_like(weights)
+        d_v += np.matmul(weights.T, d_out[rows], out=part)
+        d_logits = _softmax_pullback(weights, d_out[rows], v, out=d_scores[: len(weights)])
+        d_k += np.matmul(d_logits.T, scaled_q, out=part)
+        d_q[rows] = d_logits @ k
     d_q *= 1.0 / math.sqrt(q.shape[1])
     return d_q, d_k, d_v
 
@@ -266,21 +269,6 @@ def _sort_blocks_tape(
         raise ValueError("mixing must be square with the summary dimension")
     logits = summaries @ mixing @ summaries.T
     return _sinkhorn_tape(logits, iterations, temperature)
-
-
-def _sort_blocks_pullback(
-    summaries: np.ndarray,
-    mixing: np.ndarray,
-    tape: list[tuple[np.ndarray, int]],
-    temperature: float,
-    d_sorting: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangents (d_summaries, d_mixing) of sort_blocks, given the tape
-    that _sort_blocks_tape recorded for the same inputs."""
-    d_logits = _sinkhorn_pullback(tape, temperature, d_sorting)
-    d_summaries = d_logits @ summaries @ mixing.T + d_logits.T @ summaries @ mixing
-    d_mixing = summaries.T @ d_logits @ summaries
-    return d_summaries, d_mixing
 
 
 def sort_blocks(
@@ -308,10 +296,13 @@ def sort_blocks_backward(
     temperature: float,
     d_sorting: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents (d_summaries, d_mixing) of sort_blocks."""
     summaries = np.asarray(summaries, dtype=np.float64)
     mixing = np.asarray(mixing, dtype=np.float64)
     tape = _sort_blocks_tape(summaries, mixing, iterations, temperature)
-    return _sort_blocks_pullback(summaries, mixing, tape, temperature, d_sorting)
+    d_logits = _sinkhorn_pullback(tape, temperature, d_sorting)
+    d_summaries = d_logits @ summaries @ mixing.T + d_logits.T @ summaries @ mixing
+    return d_summaries, summaries.T @ d_logits @ summaries
 
 
 def _resolve_n_real(spec: AttentionSpec, n_real: int | None) -> int:
@@ -452,23 +443,30 @@ def sinkhorn_attention_backward(
     return (*(_unpad(grad, spec, n_real) for grad in grads), d_sorting[0] + d_sorting[1])
 
 
-def mean_pool_blocks(
-    k: np.ndarray, spec: AttentionSpec, n_real: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block mean of key rows over real positions.
+def _block_sorting(
+    k: np.ndarray, mixing: np.ndarray, spec: AttentionSpec, n_real: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sparse layer's sorting step, as (sorting, summaries, counts).
 
-    Returns (summaries, real_block_mask); fully padded blocks get a zero
-    summary row and a False mask entry.
+    Each block holding a real position (a leading run of len(summaries)
+    blocks) is summarized by the mean of its real keys, counts[b] of them;
+    sort_blocks sorts those blocks, and the result is embedded in an
+    identity so that trailing all-pad blocks never perturb real rows.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (spec.seq_len, spec.model_dim):
         raise ValueError("keys must be (spec.seq_len, spec.model_dim)")
-    n_real = _resolve_n_real(spec, n_real)
-    counts = _real_blocks(spec, n_real).sum(axis=1)
-    mask = counts > 0
-    summaries = np.zeros((spec.num_blocks, spec.model_dim))
-    summaries[mask] = _pad_blocks(k, spec, n_real).sum(axis=1)[mask] / counts[mask, None]
-    return summaries, mask
+    if np.shape(mixing) != (spec.model_dim,) * 2:
+        raise ValueError("mixing must be (spec.model_dim, spec.model_dim)")
+    held = -(-n_real // spec.block_size)
+    counts = _real_blocks(spec, n_real)[:held].sum(axis=1, keepdims=True)
+    summaries = _pad_blocks(k, spec, n_real).sum(axis=1)[:held] / counts
+    sorting = np.eye(spec.num_blocks)
+    if held:
+        sorting[:held, :held] = sort_blocks(
+            summaries, mixing, spec.sinkhorn_iterations, spec.temperature
+        )
+    return sorting, summaries, counts
 
 
 def sinkhorn_block_attention(
@@ -486,12 +484,8 @@ def sinkhorn_block_attention(
     identity elsewhere, so trailing all-pad blocks never perturb real rows,
     which makes outputs invariant to appending masked padding.
     """
-    summaries, mask = mean_pool_blocks(k, spec, n_real)
-    sorting = np.eye(spec.num_blocks)
-    if mask.any():
-        sorting[np.ix_(mask, mask)] = sort_blocks(
-            summaries[mask], mixing, spec.sinkhorn_iterations, spec.temperature
-        )
+    n_real = _resolve_n_real(spec, n_real)
+    sorting = _block_sorting(k, mixing, spec, n_real)[0]
     return sinkhorn_attention(q, k, v, spec, sorting, n_real)
 
 
@@ -506,30 +500,20 @@ def sinkhorn_block_attention_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (d_q, d_k, d_v, d_mixing) of sinkhorn_block_attention.
 
-    The Sinkhorn normalization runs once: the pass tape that builds the
-    sorting is kept and pulled back."""
+    The forward's sorting step runs again; then attention, sort_blocks and
+    the mean pool are pulled back in reverse order."""
     n_real = _resolve_n_real(spec, n_real)
-    summaries, mask = mean_pool_blocks(k, spec, n_real)
-    mixing = np.asarray(mixing, dtype=np.float64)
-    sorting = np.eye(spec.num_blocks)
-    if mask.any():
-        tape = _sort_blocks_tape(
-            summaries[mask], mixing, spec.sinkhorn_iterations, spec.temperature
-        )
-        sorting[np.ix_(mask, mask)] = np.exp(tape[-1][0])
+    sorting, summaries, counts = _block_sorting(k, mixing, spec, n_real)
     d_q, d_k, d_v, d_sorting = sinkhorn_attention_backward(
         q, k, v, spec, sorting, d_out, n_real
     )
-    if not mask.any():
-        return d_q, d_k, d_v, np.zeros_like(mixing)
-    d_summaries_sub, d_mixing = _sort_blocks_pullback(
-        summaries[mask], mixing, tape, spec.temperature, d_sorting[np.ix_(mask, mask)]
+    held = len(summaries)
+    if not held:
+        return d_q, d_k, d_v, np.zeros((spec.model_dim,) * 2)
+    d_summaries, d_mixing = sort_blocks_backward(
+        summaries, mixing, spec.sinkhorn_iterations, spec.temperature, d_sorting[:held, :held]
     )
-    real = _real_blocks(spec, n_real)
-    d_summaries = np.zeros((spec.num_blocks, spec.model_dim))
-    d_summaries[mask] = d_summaries_sub / real[mask].sum(axis=1, keepdims=True)
-    d_pool = real[:, :, None] * d_summaries[:, None, :]
-    d_k += d_pool.reshape(spec.padded_len, spec.model_dim)[: spec.seq_len]
+    d_k[:n_real] += np.repeat(d_summaries / counts, spec.block_size, axis=0)[:n_real]
     return d_q, d_k, d_v, d_mixing
 
 

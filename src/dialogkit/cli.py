@@ -429,8 +429,8 @@ def cmd_attn_check(args: argparse.Namespace) -> _Result:
     )
     try:
         checks = attention._attention_checks(spec, args.seed)
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, str(exc)) from exc
+    except (ValueError, MemoryError) as exc:
+        raise _Failure(EXIT_USAGE, str(exc) or "out of memory") from exc
     failed = [c["check"] for c in checks if not c["pass"]]
     if failed:
         print(f"attn-check: failed: {', '.join(failed)}", file=sys.stderr)

@@ -255,6 +255,24 @@ def test_gradient_full_attention_over_several_chunks(monkeypatch):
     assert error < 1e-4
 
 
+def test_full_layer_writes_every_chunk_into_one_score_buffer(monkeypatch):
+    q, k, v = _random_qkv(np.random.default_rng(22), 7, 3)
+    monkeypatch.setattr(attention, "_CHUNK_ENTRIES", 3 * 7)  # chunks of 3, 3 and 1 rows
+    seen = []
+    softmax = attention._softmax
+
+    def recording(*args, **kwargs):
+        seen.append(softmax(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(attention, "_softmax", recording)
+    for call in (lambda: full_attention(q, k, v), lambda: full_attention_backward(q, k, v, q)):
+        seen.clear()
+        call()
+        assert [len(weights) for weights in seen] == [3, 3, 1]
+        assert all(np.shares_memory(weights, seen[0]) for weights in seen)
+
+
 def _traced_peak(call) -> int:
     """Peak bytes tracemalloc sees while call() runs."""
     tracemalloc.start()
@@ -275,12 +293,18 @@ def test_full_attention_backward_memory_stays_below_one_score_matrix():
 
 # Traced peaks at L=4096, d=64, block 64, in (L, d) float64 arrays. Each
 # layer holds a few such arrays plus one bounded query chunk or block group:
-# the sparse forward its output and the mixed keys and values, the sparse
-# backward those and d_q, d_k, d_v, the full backward its three cotangents
-# and one scratch partial. Measured: 3.62, 6.40 and 6.05 arrays.
+# the full forward its output, the sparse forward that and the mixed keys
+# and values, the sparse backward those and d_q, d_k, d_v, the full
+# backward its three cotangents and one scratch partial. Measured: 2.07,
+# 3.60, 6.13 and 6.07 arrays.
 @pytest.mark.parametrize(
     "layer, arrays",
-    [("sparse_forward", 4.0), ("sparse_backward", 7.0), ("full_backward", 6.5)],
+    [
+        ("full_forward", 2.5),
+        ("sparse_forward", 4.0),
+        ("sparse_backward", 7.0),
+        ("full_backward", 6.5),
+    ],
 )
 def test_layer_memory_is_a_few_sequence_arrays(layer, arrays):
     seq_len, dim = 4096, 64
@@ -289,6 +313,7 @@ def test_layer_memory_is_a_few_sequence_arrays(layer, arrays):
     mixing = rng.standard_normal((dim, dim)) / math.sqrt(dim)
     spec = AttentionSpec(seq_len=seq_len, model_dim=dim, block_size=64)
     calls = {
+        "full_forward": lambda: full_attention(q, k, v),
         "sparse_forward": lambda: sinkhorn_block_attention(q, k, v, mixing, spec),
         "sparse_backward": lambda: sinkhorn_block_attention_backward(q, k, v, mixing, spec, q),
         "full_backward": lambda: full_attention_backward(q, k, v, q),
@@ -312,6 +337,28 @@ def test_hybrid_stack_pass_memory_is_its_activations_plus_one_layer():
     finally:
         tracemalloc.stop()
     assert peak < 23 * 2048 * 64 * 8
+
+
+def test_sparse_layer_sorts_through_the_module_names(monkeypatch):
+    # The traced benchmark run times sort_blocks and sort_blocks_backward
+    # by replacing the module attributes, so the layer must call them there.
+    calls = []
+
+    def counting(name):
+        call = getattr(attention, name)
+        return lambda *args: calls.append(name) or call(*args)
+
+    for name in ("sort_blocks", "sort_blocks_backward"):
+        monkeypatch.setattr(attention, name, counting(name))
+    rng = np.random.default_rng(23)
+    spec = AttentionSpec(seq_len=12, model_dim=4, block_size=4)
+    q, k, v = _random_qkv(rng, 12, 4)
+    mixing = rng.standard_normal((4, 4))
+    sinkhorn_block_attention(q, k, v, mixing, spec)
+    assert calls == ["sort_blocks"]
+    calls.clear()
+    sinkhorn_block_attention_backward(q, k, v, mixing, spec, q)
+    assert calls == ["sort_blocks", "sort_blocks_backward"]
 
 
 def test_sort_blocks_symmetry_and_degeneracy():
@@ -424,6 +471,12 @@ def test_attention_argument_validation():
         sinkhorn_attention(np.zeros((6, 4)), q, q, spec, np.eye(2))
     with pytest.raises(ValueError):
         sinkhorn_attention(q, q, q, spec, np.eye(2), n_real=9)
+    # a misshapen mixing is refused even when no block is real
+    for n_real in (0, 8):
+        with pytest.raises(ValueError):
+            sinkhorn_block_attention(q, q, q, np.zeros((3, 3)), spec, n_real=n_real)
+        with pytest.raises(ValueError):
+            sinkhorn_block_attention_backward(q, q, q, np.zeros((3, 3)), spec, q, n_real=n_real)
 
 
 def test_gradient_full_attention():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import warnings
@@ -854,6 +855,27 @@ def test_attn_check_overflowing_temperature_is_usage_error(capsys):
     # values; Sinkhorn cannot settle them, which is an invariant failure.
     assert main(["attn-check", "--temperature", "1e-300", "--seed", "1"]) == 3
     assert "failed: " in capsys.readouterr().err
+
+
+def _cap_address_space():
+    # With the address space capped at 1 GB, a larger allocation fails at
+    # once on any host, whatever its overcommit setting.
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_attn_check_out_of_memory_is_one_line_usage_error():
+    # 10⁶ blocks ask for a 10⁶ x 10⁶ sorting matrix, 8 TB of float64.
+    result = subprocess.run(
+        [sys.executable, "-m", "dialogkit", "attn-check", "--seq-len", "1000000",
+         "--block-size", "1", "--seed", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith("attn-check: ")
 
 
 def test_attn_check_invalid_spec_is_usage_error(capsys):
