@@ -16,14 +16,11 @@ from .core import (
     TURN_SEPARATOR,
     Dialogue,
     Turn,
-    detokenize,
-    parse_dialogue_text,
     parse_turn_line,
     serialize_dialogue,
     serialize_turn,
     split_sentences,
     tokenize,
-    turn_token_count,
 )
 from .corpus import (
     CorpusStats,
@@ -51,7 +48,6 @@ from .metrics import (
     pk,
     rouge_l,
     rouge_n,
-    segmentation_to_labels,
     windiff,
 )
 
@@ -86,14 +82,11 @@ __all__ = [
     "TURN_SEPARATOR",
     "Dialogue",
     "Turn",
-    "detokenize",
-    "parse_dialogue_text",
     "parse_turn_line",
     "serialize_dialogue",
     "serialize_turn",
     "split_sentences",
     "tokenize",
-    "turn_token_count",
     "CorpusStats",
     "RecordError",
     "StatsAccumulator",
@@ -115,7 +108,6 @@ __all__ = [
     "pk",
     "rouge_l",
     "rouge_n",
-    "segmentation_to_labels",
     "windiff",
     *_ATTENTION_NAMES,
 ]

@@ -81,6 +81,8 @@ _SEED_ENV = "DIALOGKIT_SEED"
 _NOISE_FIELDS = [f for f in fields(NoiseConfig) if f.name != "global_seed"]
 # Raw records per task sent to a ``corrupt --workers N`` pool worker.
 _CHUNK_RECORDS = 16
+# ``corrupt --workers`` allows at most this many processes per cpu.
+_WORKERS_PER_CPU = 8
 
 _DESCRIPTION = f"""\
 Dialogue corpus tooling: corpus statistics, windowed denoising examples,
@@ -258,8 +260,9 @@ def _corrupt_in_pool(
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
     if args.examples_per_dialogue < 1:
         raise _Failure(EXIT_USAGE, "--examples-per-dialogue must be at least 1")
-    if args.workers < 1:
-        raise _Failure(EXIT_USAGE, "--workers must be at least 1")
+    max_workers = _WORKERS_PER_CPU * (os.cpu_count() or 1)
+    if not 1 <= args.workers <= max_workers:
+        raise _Failure(EXIT_USAGE, f"--workers must be in [1, {max_workers}]")
     noise = {f.name: getattr(args, f.name) for f in _NOISE_FIELDS}
     cfg = _configured(NoiseConfig, **noise, global_seed=args.seed)
     errors: list[RecordError] = []

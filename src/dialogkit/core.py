@@ -26,10 +26,6 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def detokenize(tokens: Sequence[str]) -> str:
-    return " ".join(tokens)
-
-
 def split_sentences(utterance: str) -> list[str]:
     """Split an utterance after sentence-final ``.``, ``!`` or ``?`` plus a space.
 
@@ -86,9 +82,9 @@ class Dialogue:
     """A non-empty turn sequence with a corpus-unique id.
 
     ``turn_lines`` holds each turn rendered by :func:`serialize_turn` and
-    ``turn_token_counts`` each turn's :func:`turn_token_count`. Both are
-    derived once, on construction, so window selection, example text and
-    statistics never serialize a turn again.
+    ``turn_token_counts`` the number of whitespace tokens of each line,
+    speaker included. Both are derived once, on construction, so window
+    selection, example text and statistics never serialize a turn again.
     """
 
     id: str
@@ -114,11 +110,6 @@ def serialize_turn(turn: Turn) -> str:
     return f"{turn.speaker}{SPEAKER_DELIMITER}{turn.utterance}"
 
 
-def turn_token_count(turn: Turn) -> int:
-    """Number of whitespace tokens in the serialized turn, speaker included."""
-    return len(tokenize(serialize_turn(turn)))
-
-
 def serialize_dialogue(turns: Sequence[Turn]) -> str:
     if not turns:
         raise ValueError("cannot serialize an empty turn sequence")
@@ -142,10 +133,3 @@ def parse_turn_line(line: str) -> Turn:
         return Turn(head, rest)
     return Turn(None, stripped)
 
-
-def parse_dialogue_text(text: str) -> list[Turn]:
-    """Parse a serialized dialogue back into turns, one line per turn."""
-    lines = text.split(TURN_SEPARATOR)
-    if not lines or not any(line.strip() for line in lines):
-        raise ValueError("dialogue text is empty")
-    return [parse_turn_line(line) for line in lines]

@@ -18,7 +18,7 @@ records raise :class:`RecordError` carrying the line number; with
 ``on_error="skip"`` they are counted into ``errors_out`` and reading
 continues. :func:`json_record` is the one decoder of a jsonl line, shared
 with the evaluation readers: a line that is not json, nests too deeply to
-decode, or is not an object is a record error.
+decode, is not an object or escapes a lone surrogate is a record error.
 """
 
 from __future__ import annotations
@@ -78,8 +78,31 @@ def _turn_from_fields(
         raise RecordError(line_no, str(exc), dialogue_id) from exc
 
 
+def _has_lone_surrogate(value: object) -> bool:
+    """Whether a decoded json value holds a string that cannot be written as
+    UTF-8. Walked with a stack, as the value may nest as deep as json allows."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += value
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+    return False
+
+
 def json_record(line: str, line_no: int) -> dict:
-    """One jsonl line as a json object; anything else raises :class:`RecordError`."""
+    """One jsonl line as a json object; anything else raises :class:`RecordError`.
+
+    Input lines are UTF-8, so only a ``\\u`` escape can decode to a lone
+    surrogate; a record that holds one is refused, as no output could hold it.
+    """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -88,6 +111,8 @@ def json_record(line: str, line_no: int) -> dict:
         raise RecordError(line_no, f"invalid json: {exc}") from exc
     if not isinstance(record, dict):
         raise RecordError(line_no, "record is not a json object")
+    if "\\u" in line and _has_lone_surrogate(record):
+        raise RecordError(line_no, "a \\u escape decodes to a lone surrogate")
     return record
 
 

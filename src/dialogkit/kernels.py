@@ -31,8 +31,9 @@ def match_masks(a: Sequence[str | None]) -> dict[str | None, int]:
 def lcs_table(a: Sequence[str | None], b: Sequence[str | None]) -> list[int]:
     """Bit columns V_0..V_len(b) of the LCS table of ``a`` against ``b``.
 
-    ``V_j`` packs the cells L(0..len(a), j) of the table; read one with
-    :func:`lcs_cell`. ``V_0`` has the bit of every token of ``a`` set.
+    ``V_j`` packs the cells L(0..len(a), j) of the table: L(i, j) is ``i``
+    less the set bits of ``V_j`` below bit ``i``. ``V_0`` has the bit of
+    every token of ``a`` set.
 
     ``None`` separates sequences packed into one call. A ``None`` in ``a``
     has a bit that is never set and never matches, so no carry crosses it
@@ -53,11 +54,6 @@ def lcs_table(a: Sequence[str | None], b: Sequence[str | None]) -> list[int]:
             v = ((v + u) | (v - u)) & full
         columns.append(v)
     return columns
-
-
-def lcs_cell(columns: list[int], i: int, j: int) -> int:
-    """L(i, j), the LCS length of a[:i] and b[:j], from lcs_table(a, b)."""
-    return i - (columns[j] & ((1 << i) - 1)).bit_count()
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

@@ -62,15 +62,6 @@ class Segmentation:
         object.__setattr__(self, "turn_count", turn_count)
         object.__setattr__(self, "boundaries", cleaned)
 
-    @property
-    def segment_lengths(self) -> tuple[int, ...]:
-        edges = list(self.boundaries) + [self.turn_count - 1]
-        lengths, previous = [], -1
-        for edge in edges:
-            lengths.append(edge - previous)
-            previous = edge
-        return tuple(lengths)
-
 
 def labels_to_segmentation(labels: Sequence[int]) -> Segmentation:
     """Binary per-turn labels (1 = segment end) to a Segmentation.
@@ -85,15 +76,6 @@ def labels_to_segmentation(labels: Sequence[int]) -> Segmentation:
         raise ValueError("labels must be the integers 0 or 1")
     boundaries = tuple(compress(range(len(labels) - 1), labels))
     return Segmentation(len(labels), boundaries)
-
-
-def segmentation_to_labels(seg: Segmentation) -> list[int]:
-    """Inverse of labels_to_segmentation; the final turn is labeled 1."""
-    labels = [0] * seg.turn_count
-    for b in seg.boundaries:
-        labels[b] = 1
-    labels[-1] = 1
-    return labels
 
 
 def default_window_size(reference: Segmentation) -> int:

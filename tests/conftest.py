@@ -1,4 +1,4 @@
-"""Shared fixtures and scripted randomness for the test suite."""
+"""Shared dialogue builders and scripted randomness for the test suite."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 import random
 from pathlib import Path
 
-import pytest
 from hypothesis import strategies as st
 
 import dialogkit
@@ -107,12 +106,3 @@ def dialogues(draw, dialogue_id: str = "d", max_turns: int = 12) -> Dialogue:
         turns.append(make_turn(draw(_SPEAKERS), utterance))
     return Dialogue(dialogue_id, tuple(turns))
 
-
-@pytest.fixture
-def toy_dialogue() -> Dialogue:
-    return make_dialogue(
-        "toy-1",
-        ("Tom", "The weather is good today! Do you have any plans?"),
-        ("Sam", "We could go to the park. It might rain though."),
-        ("Bob", "I will bring an umbrella."),
-    )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import random
 import statistics
@@ -32,9 +31,10 @@ from dialogkit.attention import (
     sinkhorn_block_attention_backward,
     sinkhorn_normalize,
     sinkhorn_normalize_backward,
+    _block_local_reference,
 )
 from dialogkit.cli import main
-from dialogkit.core import serialize_dialogue, turn_token_count
+from dialogkit.core import serialize_dialogue, serialize_turn, tokenize
 from dialogkit.corpus import StatsAccumulator, compute_stats, ingest
 from dialogkit.metrics import Segmentation, pk, rouge_l, rouge_n, windiff
 from dialogkit.noising import (
@@ -56,6 +56,8 @@ from tests.conftest import (
     make_turn,
     synthetic_dialogue,
 )
+from tests.test_kernels import _classic_lcs
+from tests.test_metrics import brute_force_pk, brute_force_windiff
 
 MASK_TOKENS = ("[MASK]", "[MASK_SPEAKER]")
 
@@ -158,9 +160,9 @@ def test_criterion_02_recipe_parameters(example_fixture):
         window = example.window
         trace = example.noise_trace
 
-        total = sum(turn_token_count(t) for t in dialogue.turns)
+        total = sum(len(tokenize(serialize_turn(t))) for t in dialogue.turns)
         limit = max(1, min(512, int(0.10 * total)))
-        window_tokens = sum(turn_token_count(t) for t in window.turns)
+        window_tokens = sum(len(tokenize(serialize_turn(t))) for t in window.turns)
         if not window.oversized:
             assert window_tokens <= limit
         assert trace["window"]["oversized_turn"] == window.oversized
@@ -267,19 +269,6 @@ def test_criterion_05_sinkhorn_invariants():
     )
 
 
-def _block_local_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray, block_size: int) -> np.ndarray:
-    seq_len, dim = q.shape
-    scale = 1.0 / math.sqrt(dim)
-    out = np.zeros_like(q, dtype=float)
-    for start in range(0, seq_len, block_size):
-        stop = min(start + block_size, seq_len)
-        logits = (q[start:stop] @ k[start:stop].T) * scale
-        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        out[start:stop] = weights @ v[start:stop]
-    return out
-
-
 def test_criterion_06_attention_equivalences():
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -300,7 +289,7 @@ def test_criterion_06_attention_equivalences():
         spec = AttentionSpec(seq_len=seq_len, model_dim=dim, block_size=block)
         identity = np.eye(spec.num_blocks)
         sparse = sinkhorn_attention(q, k, v, spec, identity)
-        assert np.abs(sparse - _block_local_oracle(q, k, v, block)).max() < 1e-6
+        assert np.abs(sparse - _block_local_reference(q, k, v, block)).max() < 1e-6
 
     spec = AttentionSpec(seq_len=32, model_dim=8, block_size=8)
     schedule = hybrid_schedule(spec)
@@ -369,39 +358,6 @@ def test_criterion_07_gradient_checks():
     )
 
 
-def _segment_ids(seg: Segmentation) -> list[int]:
-    ids = []
-    current = 0
-    boundaries = set(seg.boundaries)
-    for turn in range(seg.turn_count):
-        ids.append(current)
-        if turn in boundaries:
-            current += 1
-    return ids
-
-
-def _oracle_pk(reference: Segmentation, hypothesis: Segmentation, k: int) -> float:
-    ref_ids = _segment_ids(reference)
-    hyp_ids = _segment_ids(hypothesis)
-    errors = total = 0
-    for i in range(reference.turn_count - k):
-        same_ref = ref_ids[i] == ref_ids[i + k]
-        same_hyp = hyp_ids[i] == hyp_ids[i + k]
-        errors += same_ref != same_hyp
-        total += 1
-    return errors / total
-
-
-def _oracle_windiff(reference: Segmentation, hypothesis: Segmentation, k: int) -> float:
-    errors = total = 0
-    for i in range(reference.turn_count - k):
-        ref_count = sum(1 for b in reference.boundaries if i <= b < i + k)
-        hyp_count = sum(1 for b in hypothesis.boundaries if i <= b < i + k)
-        errors += ref_count != hyp_count
-        total += 1
-    return errors / total
-
-
 def _random_segmentation(turn_count: int, rng: random.Random) -> Segmentation:
     boundaries = [b for b in range(turn_count - 1) if rng.random() < 0.3]
     return Segmentation(turn_count, tuple(boundaries))
@@ -414,8 +370,8 @@ def test_criterion_08_metric_oracles():
         reference = _random_segmentation(turn_count, rng)
         hypothesis = _random_segmentation(turn_count, rng)
         k = rng.randint(1, turn_count - 1)
-        assert pk(reference, hypothesis, k=k) == _oracle_pk(reference, hypothesis, k)
-        assert windiff(reference, hypothesis, k=k) == _oracle_windiff(reference, hypothesis, k)
+        assert pk(reference, hypothesis, k=k) == brute_force_pk(reference, hypothesis, k)
+        assert windiff(reference, hypothesis, k=k) == brute_force_windiff(reference, hypothesis, k)
         assert pk(reference, reference, k=k) == 0.0
         assert windiff(reference, reference, k=k) == 0.0
 
@@ -440,17 +396,6 @@ def test_criterion_08_metric_oracles():
         else:
             assert score.f1 == 0.0
     _report(8, True, "pk/windiff exact on 500, rouge fixtures and 200 LCS pairs match")
-
-
-def _classic_lcs(a: list[str], b: list[str]) -> int:
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[-1][-1]
 
 
 def test_criterion_09_poisson_sampler():

@@ -390,25 +390,14 @@ def test_single_block_equals_full_attention():
         np.testing.assert_allclose(out, full_attention(q, k, v), atol=1e-6)
 
 
-def _block_local_oracle(q, k, v, block_size):
-    """Independent straight-line implementation of block-local attention."""
-    out = np.zeros_like(q)
-    for start in range(0, q.shape[0], block_size):
-        stop = min(start + block_size, q.shape[0])
-        logits = q[start:stop] @ k[start:stop].T / math.sqrt(q.shape[1])
-        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        out[start:stop] = weights @ v[start:stop]
-    return out
-
-
 def test_identity_sorting_equals_block_local():
     rng = np.random.default_rng(5)
     for seq_len, dim, block in ((8, 4, 4), (12, 3, 4), (16, 5, 8)):
         q, k, v = _random_qkv(rng, seq_len, dim)
         spec = AttentionSpec(seq_len=seq_len, model_dim=dim, block_size=block)
         out = sinkhorn_attention(q, k, v, spec, np.eye(spec.num_blocks))
-        np.testing.assert_allclose(out, _block_local_oracle(q, k, v, block), atol=1e-6)
+        reference = attention._block_local_reference(q, k, v, block)
+        np.testing.assert_allclose(out, reference, atol=1e-6)
 
 
 def test_attention_rows_normalize_over_valid_columns():

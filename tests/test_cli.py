@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogkit.cli import build_parser, main
 from dialogkit.corpus import ingest
@@ -275,6 +280,33 @@ def test_corrupt_bad_argument_is_usage_error(tmp_path, corpus_path, capsys, flag
     assert not out.exists()
 
 
+class _PoolAsked(Exception):
+    pass
+
+
+def test_corrupt_workers_past_the_bound_start_no_pool(tmp_path, corpus_path, capsys, monkeypatch):
+    # The pool only records the count it is asked for, so no process starts.
+    import multiprocessing
+
+    asked = []
+
+    def pool(processes):
+        asked.append(processes)
+        raise _PoolAsked
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    argv = ["corrupt", str(corpus_path), str(tmp_path / "out.jsonl"), "--workers"]
+    for cpus, limit in ((2, 16), (None, 8)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(argv + [str(limit + 1)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"corrupt: --workers must be in [1, {limit}]"
+        with pytest.raises(_PoolAsked):
+            main(argv + [str(limit)])
+    assert asked == [16, 8]
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -441,28 +473,90 @@ _DEEP_RUNS = {
 }
 
 
-@pytest.mark.parametrize(
+_RUNS_AND_MODES = pytest.mark.parametrize(
     "run, strict",
     [pytest.param(run, strict, id=f"{run}-{'strict' if strict else 'skip'}")
      for run in _DEEP_RUNS for strict in (False, True) if strict or run != "eval-seg"],
 )
+
+
+@_RUNS_AND_MODES
 def test_deeply_nested_line_is_a_record_error(tmp_path, run, strict):
+    _check_bad_second_line(tmp_path, run, strict, "[" * 100000, "invalid json: ")
+
+
+@_RUNS_AND_MODES
+def test_lone_surrogate_escape_is_a_record_error(tmp_path, run, strict):
+    # A child process, so that stdout is a real pipe that refuses to encode
+    # a surrogate; an in-process capture would take it.
+    bad = json.dumps({**_GOOD_RECORDS[_DEEP_RUNS[run][0]], "id": "\ud800"})
+    _check_bad_second_line(tmp_path, run, strict, bad, "a \\u escape decodes to a lone surrogate")
+
+
+def _check_bad_second_line(tmp_path, run, strict, bad_line, reason):
     command = _DEEP_RUNS[run]
     path = tmp_path / "deep.jsonl"
-    path.write_text(json.dumps(_GOOD_RECORDS[command[0]]) + "\n" + "[" * 100000 + "\n")
+    path.write_text(json.dumps(_GOOD_RECORDS[command[0]]) + "\n" + bad_line + "\n")
     argv = [part.format(input=path, output=tmp_path / "out.jsonl") for part in command]
     # eval-seg has no skip mode: every bad line fails it.
     result = _run_cli(argv + ["--strict"] * (strict and run != "eval-seg"))
     if strict:
         assert result.returncode == 2, result.stderr
         [line] = result.stderr.splitlines()
-        assert line.startswith(f"{command[0]}: line 2: invalid json: ")
+        assert line.startswith(f"{command[0]}: line 2: {reason}")
         assert result.stdout == ""
         assert os.listdir(tmp_path) == ["deep.jsonl"]
         return
     assert result.returncode == 0, result.stderr
     manifest = json.loads(result.stderr.splitlines()[-1])
     assert manifest["records"] == 1 and manifest["errors"] == 1
+
+
+# Record fields that pass validation or fail it: reserved tokens, wrong
+# types, NaN and lone surrogates, which json.dumps writes as \ud800 escapes
+# and which a plain line writes as bytes that are not UTF-8.
+_FUZZ_TEXT = st.lists(
+    st.sampled_from(["a", "Bo", ". ", " ", ":", "[MASK]", "é", "\ud800", "\udc80"]), max_size=5
+).map("".join)
+_FUZZ_FIELD = _FUZZ_TEXT | st.sampled_from([None, 0, 1, True, float("nan"), [], {}])
+_FUZZ_RECORD = st.fixed_dictionaries({
+    "id": _FUZZ_FIELD,
+    "turns": st.lists(
+        st.fixed_dictionaries({"speaker": _FUZZ_FIELD, "utterance": _FUZZ_FIELD}), max_size=3
+    ) | _FUZZ_FIELD,
+    "candidate": _FUZZ_FIELD,
+    "reference": _FUZZ_FIELD,
+    "labels": st.lists(st.sampled_from([0, 1, 1.0]), max_size=4) | _FUZZ_FIELD,
+})
+_FUZZ_LINE = _FUZZ_RECORD.map(json.dumps) | _FUZZ_TEXT | st.sampled_from(["{", "[1]", "[" * 3000])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FUZZ_LINE, max_size=4), st.sampled_from(["jsonl", "plain"]), st.booleans())
+def test_every_input_ends_in_an_exit_code_and_one_line(lines, fmt, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "in.txt"), os.path.join(tmp, "out.jsonl")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        for argv in (
+            ["stats", path, "--format", fmt] + ["--strict"] * strict,
+            ["corrupt", path, out, "--format", fmt, "--seed", "0"] + ["--strict"] * strict,
+            ["eval-rouge", path] + ["--strict"] * strict,
+            ["eval-seg", path, path, "--seed", "0"],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+            # A real pipe refuses what does not encode; the capture takes it.
+            stdout.getvalue().encode("utf-8")
+            stderr.getvalue().encode("utf-8")
+            err = stderr.getvalue().splitlines()
+            assert code in (0, 1, 2)
+            if code:
+                assert len(err) == 1 and "Traceback" not in err[0]
+                assert argv[0] != "corrupt" or os.listdir(tmp) == ["in.txt"]
+            else:
+                assert json.loads(err[-1])["command"] == argv[0]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "plain"])

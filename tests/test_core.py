@@ -8,21 +8,17 @@ from dialogkit.core import (
     MASK_SPEAKER,
     Dialogue,
     Turn,
-    detokenize,
-    parse_dialogue_text,
     parse_turn_line,
     serialize_dialogue,
     serialize_turn,
     split_sentences,
     tokenize,
-    turn_token_count,
 )
 
 
 def test_tokenize_collapses_whitespace():
     assert tokenize("  a  b\tc\nd ") == ["a", "b", "c", "d"]
     assert tokenize("") == []
-    assert detokenize(["a", "b"]) == "a b"
 
 
 def test_split_sentences_on_terminal_punctuation():
@@ -115,8 +111,8 @@ def test_serialize_turn_with_speaker():
 
 
 def test_turn_token_count_includes_speaker():
-    assert turn_token_count(Turn("Tom", "Hi there.")) == 3
-    assert turn_token_count(Turn(None, "Hi there.")) == 2
+    dialogue = Dialogue("d", (Turn("Tom", "Hi there."), Turn(None, "Hi there.")))
+    assert dialogue.turn_token_counts == (3, 2)
 
 
 def test_serialize_dialogue_joins_with_newlines():
@@ -133,7 +129,7 @@ def test_token_accounting_is_additive():
         Turn("Bob", "Done?"),
     )
     total = len(tokenize(serialize_dialogue(turns)))
-    assert total == sum(turn_token_count(t) for t in turns)
+    assert total == sum(Dialogue("d", turns).turn_token_counts)
 
 
 def test_parse_turn_line_with_speaker():
@@ -167,10 +163,5 @@ def test_parse_turn_line_rejects_blank():
 
 def test_parse_serialize_round_trip():
     text = "Tom: Hello there. How are you?\nplain narration line\nSam: Fine!"
-    turns = parse_dialogue_text(text)
+    turns = [parse_turn_line(line) for line in text.split("\n")]
     assert serialize_dialogue(turns) == text
-
-
-def test_parse_dialogue_text_rejects_empty():
-    with pytest.raises(ValueError):
-        parse_dialogue_text(" \n ")

@@ -37,13 +37,18 @@ def test_lcs_length_matches_classic_dp():
         assert kernels.lcs_length(a, b) == _classic_lcs(a, b)
 
 
+def _cells(columns: list[int], rows: int, low: int = 0) -> list[list[int]]:
+    """The table rows 0..rows decoded from bit columns whose run starts at
+    bit ``low``: L(i, j) is i less the set bits of column j below bit i."""
+    return [
+        [i - (c >> low & ((1 << i) - 1)).bit_count() for c in columns] for i in range(rows + 1)
+    ]
+
+
 def _decoded_table(a: list[str], b: list[str]) -> list[list[int]]:
     columns = kernels.lcs_table(a, b)
     assert len(columns) == len(b) + 1
-    return [
-        [kernels.lcs_cell(columns, i, j) for j in range(len(b) + 1)]
-        for i in range(len(a) + 1)
-    ]
+    return _cells(columns, len(a))
 
 
 def test_lcs_table_final_cell_equals_length():
@@ -95,18 +100,20 @@ def test_lcs_table_none_separates_packed_sequences():
         assert len(columns) == len(b) + 1
         for a_piece, low in zip(a_pieces, a_starts):
             for b_piece, start in zip(b_pieces, b_starts):
-                cells = [
-                    [i - (columns[start + j] >> low & ((1 << i) - 1)).bit_count()
-                     for j in range(len(b_piece) + 1)]
-                    for i in range(len(a_piece) + 1)
-                ]
+                cells = _cells(columns[start : start + len(b_piece) + 1], len(a_piece), low)
                 assert cells == _classic_table(a_piece, b_piece)
 
 
 def _naive_window_errors(
     reference: tuple[int, ...], hypothesis: tuple[int, ...], slots: int, k: int
 ) -> tuple[int, int]:
-    """Pk and WinDiff error counts by summing the labels of every window."""
+    """Pk and WinDiff error counts by summing the labels of every window.
+
+    The one Pk/WinDiff oracle of the tests. A window's two ends lie in one
+    segment when it holds no boundary, so Pk (Beeferman et al. 1999) errs
+    where exactly one side's count is zero, and WinDiff (Pevzner & Hearst
+    2002) where the counts differ.
+    """
     ref_set, hyp_set = set(reference), set(hypothesis)
     ref_labels = [1 if slot in ref_set else 0 for slot in range(slots)]
     hyp_labels = [1 if slot in hyp_set else 0 for slot in range(slots)]

@@ -20,64 +20,46 @@ from dialogkit.metrics import (
     pk,
     rouge_l,
     rouge_n,
-    segmentation_to_labels,
     windiff,
     _lcs_ref_positions,
     _normalize_tokens,
 )
+from tests.test_kernels import _classic_table, _naive_window_errors
+
+
+def _brute_force_rates(reference: Segmentation, hypothesis: Segmentation, k: int) -> list[float]:
+    slots = reference.turn_count - 1
+    counts = _naive_window_errors(reference.boundaries, hypothesis.boundaries, slots, k)
+    return [count / (slots - k + 1) for count in counts]
 
 
 def brute_force_pk(reference: Segmentation, hypothesis: Segmentation, k: int) -> float:
-    """Direct definition (Beeferman et al. 1999): walk every window, compare
-    same-segment verdicts."""
-
-    def segment_index(seg: Segmentation) -> list[int]:
-        index, out = 0, []
-        boundaries = set(seg.boundaries)
-        for turn in range(seg.turn_count):
-            out.append(index)
-            if turn in boundaries:
-                index += 1
-        return out
-
-    ref_idx = segment_index(reference)
-    hyp_idx = segment_index(hypothesis)
-    positions = reference.turn_count - k
-    disagreements = 0
-    for i in range(positions):
-        ref_same = ref_idx[i] == ref_idx[i + k]
-        hyp_same = hyp_idx[i] == hyp_idx[i + k]
-        if ref_same != hyp_same:
-            disagreements += 1
-    return disagreements / positions
+    """Pk (Beeferman et al. 1999) by walking every window."""
+    return _brute_force_rates(reference, hypothesis, k)[0]
 
 
 def brute_force_windiff(reference: Segmentation, hypothesis: Segmentation, k: int) -> float:
-    """Direct definition (Pevzner & Hearst 2002): walk every window, compare
-    boundary counts."""
-    ref_b, hyp_b = set(reference.boundaries), set(hypothesis.boundaries)
-    positions = reference.turn_count - k
-    errors = 0
-    for i in range(positions):
-        window = range(i, i + k)  # boundary slots between turns i and i+k
-        ref_count = sum(1 for slot in window if slot in ref_b)
-        hyp_count = sum(1 for slot in window if slot in hyp_b)
-        if ref_count != hyp_count:
-            errors += 1
-    return errors / positions
+    """WinDiff (Pevzner & Hearst 2002) by walking every window."""
+    return _brute_force_rates(reference, hypothesis, k)[1]
+
+
+def _lengths(seg: Segmentation) -> tuple[int, ...]:
+    """Segment lengths, read from the boundaries and the final turn."""
+    ends = (-1, *seg.boundaries, seg.turn_count - 1)
+    return tuple(end - start for start, end in zip(ends, ends[1:]))
 
 
 def test_segmentation_normalizes_and_validates():
     seg = Segmentation(10, (4, 2, 4))
     assert seg.boundaries == (2, 4)
-    assert seg.segment_lengths == (3, 2, 5)
+    assert _lengths(seg) == (3, 2, 5)
     with pytest.raises(ValueError):
         Segmentation(10, (9,))
     with pytest.raises(ValueError):
         Segmentation(10, (-1,))
     with pytest.raises(ValueError):
         Segmentation(0, ())
-    assert Segmentation(1, ()).segment_lengths == (1,)
+    assert _lengths(Segmentation(1, ())) == (1,)
     # Non-integers are refused, not truncated or parsed.
     with pytest.raises(TypeError):
         Segmentation(10, (2.9,))
@@ -95,7 +77,6 @@ def test_labels_round_trip():
     labels = [0, 0, 1, 0, 0, 1, 0, 1]
     seg = labels_to_segmentation(labels)
     assert seg.boundaries == (2, 5)
-    assert segmentation_to_labels(seg) == [0, 0, 1, 0, 0, 1, 0, 1]
     assert labels_to_segmentation([1, 1, 1]).boundaries == (0, 1)
     assert labels_to_segmentation([0, 0, 0]).boundaries == ()
     with pytest.raises(ValueError):
@@ -110,11 +91,10 @@ def test_labels_round_trip():
 def test_labels_round_trip_random():
     rng = random.Random(0)
     for _ in range(100):
-        count = rng.randrange(1, 25)
-        seg = Segmentation(
-            count, tuple(b for b in range(count - 1) if rng.random() < 0.3)
-        )
-        assert labels_to_segmentation(segmentation_to_labels(seg)) == seg
+        labels = [int(rng.random() < 0.3) for _ in range(rng.randrange(1, 25))]
+        seg = labels_to_segmentation(labels)
+        assert seg.turn_count == len(labels)
+        assert [int(turn in seg.boundaries) for turn in range(len(labels) - 1)] == labels[:-1]
 
 
 def test_pk_windiff_hand_fixture():
@@ -221,7 +201,7 @@ def test_baseline_even_examples():
     assert baseline_even(10, 1).boundaries == ()
     even = baseline_even(7, 3)
     assert even.boundaries == (2, 4)
-    assert even.segment_lengths == (3, 2, 2)
+    assert _lengths(even) == (3, 2, 2)
     assert baseline_even(5, 5).boundaries == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         baseline_even(5, 6)
@@ -232,7 +212,7 @@ def test_baseline_even_examples():
 def test_baseline_even_lengths_differ_by_at_most_one():
     for turn_count in range(1, 30):
         for segments in range(1, turn_count + 1):
-            lengths = baseline_even(turn_count, segments).segment_lengths
+            lengths = _lengths(baseline_even(turn_count, segments))
             assert len(lengths) == segments
             assert sum(lengths) == turn_count
             assert max(lengths) - min(lengths) <= 1
@@ -341,13 +321,7 @@ def test_lcs_never_exceeds_clipped_unigram_overlap():
 def _classic_ref_positions(ref: list[str], cand: list[str]) -> set[int]:
     """Backtrack a textbook LCS table with the same tie-break as rouge_l:
     on ``>=`` drop a reference token."""
-    table = [[0] * (len(cand) + 1) for _ in range(len(ref) + 1)]
-    for i in range(1, len(ref) + 1):
-        for j in range(1, len(cand) + 1):
-            if ref[i - 1] == cand[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    table = _classic_table(ref, cand)
     positions, i, j = set(), len(ref), len(cand)
     while i > 0 and j > 0:
         if ref[i - 1] == cand[j - 1]:
