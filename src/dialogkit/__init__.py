@@ -16,7 +16,6 @@ from .core import (
     TURN_SEPARATOR,
     Dialogue,
     Turn,
-    parse_turn_line,
     serialize_dialogue,
     serialize_turn,
     split_sentences,
@@ -82,7 +81,6 @@ __all__ = [
     "TURN_SEPARATOR",
     "Dialogue",
     "Turn",
-    "parse_turn_line",
     "serialize_dialogue",
     "serialize_turn",
     "split_sentences",

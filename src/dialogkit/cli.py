@@ -16,13 +16,12 @@ Every command reads its input through ``_read_lines``, which accepts LF,
 CRLF and CR line endings and checks each line as UTF-8 before handing it
 on, so the first bad line is reported in file order. Json lines are cut by
 :func:`~dialogkit.corpus.split_records` and decoded by
-:func:`~dialogkit.corpus.json_record` in every command. ``stats`` and ``corrupt --workers 1`` read the corpus through
-:func:`~dialogkit.corpus.ingest`, which runs the three corpus stages in this
-process: split lines into raw records, parse each record, then screen the
-results for duplicate ids and apply the error policy in input order. With
-``--workers N``, ``corrupt`` splits here, the pool workers parse records
-and build their examples, and screening and the write stay here; an error
-from reading reaches this process through the pool after the records read
+:func:`~dialogkit.corpus.json_record` in every command. ``stats`` and
+``corrupt --workers 1`` run the three stages of
+:func:`~dialogkit.corpus.ingest` in this process. With ``--workers N``,
+``corrupt`` splits records here, the pool workers parse them and build
+their examples, and screening and the write stay here; an error from
+reading reaches this process through the pool after the records read
 before it, so the output, exit code and stderr line equal those of one
 worker.
 

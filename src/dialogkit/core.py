@@ -2,9 +2,11 @@
 
 A dialogue is an ordered, non-empty list of turns; a turn is an optional
 speaker plus its text, and its sentences are read from that text.
-Serialization is the single place where turns become text, which keeps token
-accounting additive: tokenizing a serialized dialogue yields exactly the
-concatenation of the per-turn tokens, speaker prefixes included.
+:func:`normalize_turn` checks each turn once and gives the line that
+:func:`serialize_turn` writes for it, with its token count; a
+:class:`Dialogue` keeps these per turn, building :class:`Turn` objects only
+when asked. Token accounting is additive: tokenizing a serialized dialogue
+yields exactly the concatenation of the per-turn tokens, speaker included.
 """
 
 from __future__ import annotations
@@ -40,36 +42,64 @@ def split_sentences(utterance: str) -> list[str]:
     return _SENTENCE_BREAK.split(normalized)
 
 
+def _has_lone_surrogate(value: object) -> bool:
+    """Whether a str, or one nested in json lists and dicts, cannot be written
+    as UTF-8. Walked with a stack, as json may nest past the recursion limit."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += value
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+    return False
+
+
+def normalize_turn(speaker: object, utterance: object) -> tuple:
+    """Check one turn's fields: ``(speaker, utterance, line, token_count)``.
+
+    One split of each field folds its whitespace and counts its tokens;
+    ``line`` is the turn as :func:`serialize_turn` writes it. A field of the
+    wrong type is a TypeError; an empty one or a colon in the speaker, a
+    ValueError."""
+    if speaker is not None:
+        if not isinstance(speaker, str):
+            raise TypeError(f"speaker must be a str or None, not {type(speaker).__name__}")
+        names = speaker.split()
+        if not names:
+            raise ValueError("speaker is present but empty")
+        speaker = " ".join(names)
+        if ":" in speaker:
+            raise ValueError(f"speaker contains a colon: {speaker!r}")
+    if not isinstance(utterance, str):
+        raise TypeError(f"utterance must be a str, not {type(utterance).__name__}")
+    words = utterance.split()
+    if not words:
+        raise ValueError("utterance is empty")
+    utterance = " ".join(words)
+    if speaker is None:
+        return None, utterance, utterance, len(words)
+    return speaker, utterance, f"{speaker}{SPEAKER_DELIMITER}{utterance}", len(names) + len(words)
+
+
 @dataclass(frozen=True)
 class Turn:
-    """One turn: an optional speaker plus its text; sentences are read from it.
-
-    The text is whitespace-normalized into ``utterance``, and ``sentences``
-    cuts it with :func:`split_sentences`, so a turn's sentences depend on its
-    utterance alone: ``parse_turn_line(serialize_turn(turn))`` gives back
-    every turn that has a speaker. Speakers are whitespace-normalized and may
-    not contain a colon, so the serialized form stays parseable.
-    """
+    """An optional speaker plus text, both checked by :func:`normalize_turn`;
+    ``sentences`` cuts the text with :func:`split_sentences`. A turn with a
+    speaker survives ``Turn(*split_turn_line(serialize_turn(turn)))``."""
 
     speaker: str | None
     utterance: str
 
     def __post_init__(self) -> None:
-        if self.speaker is not None:
-            if not isinstance(self.speaker, str):
-                kind = type(self.speaker).__name__
-                raise TypeError(f"speaker must be a str or None, not {kind}")
-            cleaned_speaker = " ".join(self.speaker.split())
-            if not cleaned_speaker:
-                raise ValueError("speaker is present but empty")
-            if ":" in cleaned_speaker:
-                raise ValueError(f"speaker contains a colon: {cleaned_speaker!r}")
-            object.__setattr__(self, "speaker", cleaned_speaker)
-        if not isinstance(self.utterance, str):
-            raise TypeError(f"utterance must be a str, not {type(self.utterance).__name__}")
-        utterance = " ".join(self.utterance.split())
-        if not utterance:
-            raise ValueError("utterance is empty")
+        speaker, utterance, _, _ = normalize_turn(self.speaker, self.utterance)
+        object.__setattr__(self, "speaker", speaker)
         object.__setattr__(self, "utterance", utterance)
 
     @property
@@ -77,30 +107,47 @@ class Turn:
         return tuple(split_sentences(self.utterance))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dialogue:
-    """A non-empty turn sequence with a corpus-unique id.
+    """A non-empty turn sequence with a corpus-unique id, kept per turn.
 
-    ``turn_lines`` holds each turn rendered by :func:`serialize_turn` and
-    ``turn_token_counts`` the number of whitespace tokens of each line,
-    speaker included. Both are derived once, on construction, so window
-    selection, example text and statistics never serialize a turn again.
+    Each field but ``id`` holds one entry per turn, as :func:`normalize_turn`
+    returns them. The corpus readers pass those rows to :meth:`from_rows`,
+    so ingest builds no :class:`Turn`; ``turns`` builds all of them on each
+    access, and window selection only the window's. Equality and hashing
+    read the id, speakers and utterances.
     """
 
     id: str
-    turns: tuple[Turn, ...]
-    turn_lines: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    turn_token_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    speakers: tuple[str | None, ...]
+    utterances: tuple[str, ...]
+    turn_lines: tuple[str, ...] = field(repr=False, compare=False)
+    turn_token_counts: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, turns: Sequence[Turn]) -> None:
+        self._fill(id, [normalize_turn(t.speaker, t.utterance) for t in turns])
+
+    @classmethod
+    def from_rows(cls, id: str, rows: Sequence[tuple]) -> Dialogue:
+        """A dialogue from one :func:`normalize_turn` result per turn."""
+        dialogue = cls.__new__(cls)
+        dialogue._fill(id, rows)
+        return dialogue
+
+    def _fill(self, id: str, rows: Sequence[tuple]) -> None:
+        if not id:
             raise ValueError("dialogue id is empty")
-        if not self.turns:
-            raise ValueError(f"dialogue {self.id!r} has no turns")
-        object.__setattr__(self, "turns", tuple(self.turns))
-        lines = tuple(map(serialize_turn, self.turns))
-        object.__setattr__(self, "turn_lines", lines)
-        object.__setattr__(self, "turn_token_counts", tuple(map(len, map(tokenize, lines))))
+        if _has_lone_surrogate(id):
+            raise ValueError(f"dialogue id {id!r} holds a lone surrogate")
+        if not rows:
+            raise ValueError(f"dialogue {id!r} has no turns")
+        fields = ("id", "speakers", "utterances", "turn_lines", "turn_token_counts")
+        for name, value in zip(fields, (id, *zip(*rows))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def turns(self) -> tuple[Turn, ...]:
+        return tuple(map(Turn, self.speakers, self.utterances))
 
 
 def serialize_turn(turn: Turn) -> str:
@@ -116,8 +163,8 @@ def serialize_dialogue(turns: Sequence[Turn]) -> str:
     return TURN_SEPARATOR.join(serialize_turn(t) for t in turns)
 
 
-def parse_turn_line(line: str) -> Turn:
-    """Parse one line written by serialize_turn back into a turn.
+def split_turn_line(line: str) -> tuple[str | None, str]:
+    """Cut one line written by serialize_turn into its speaker and text.
 
     The first ``": "`` separates speaker from utterance. A line without it,
     or whose head would be an illegal speaker name, is a speakerless turn.
@@ -130,6 +177,5 @@ def parse_turn_line(line: str) -> Turn:
         raise ValueError("blank turn line")
     head, sep, rest = stripped.partition(SPEAKER_DELIMITER)
     if sep and head and ":" not in head and rest.strip():
-        return Turn(head, rest)
-    return Turn(None, stripped)
-
+        return head, rest
+    return None, stripped

@@ -7,18 +7,15 @@ Two input formats are supported:
 * ``plain``: blocks of ``Speaker: text`` lines separated by blank lines;
   the 0-based block index (as a decimal string) becomes the dialogue id.
 
-Reading runs in three stages. :func:`split_records` cuts lines into raw
-records without parsing them; :func:`parse_outcome` turns one raw record
-into a :class:`Dialogue` or its :class:`RecordError` and depends only on its
-arguments, so pool workers can run it; :func:`screen` applies the in-order
-duplicate-id check and the error policy. :func:`ingest` chains the three in
-one process. The stages stream and hold at most one record at a time, so
-corpus size is bounded by the largest record, not the file. Malformed
-records raise :class:`RecordError` carrying the line number; with
-``on_error="skip"`` they are counted into ``errors_out`` and reading
-continues. :func:`json_record` is the one decoder of a jsonl line, shared
-with the evaluation readers: a line that is not json, nests too deeply to
-decode, is not an object or escapes a lone surrogate is a record error.
+Reading runs in three streaming stages, which :func:`ingest` chains in one
+process: :func:`split_records` cuts lines into raw records,
+:func:`parse_outcome` turns one into a :class:`Dialogue` or its
+:class:`RecordError` (pool workers run it too), and :func:`screen` applies
+the in-order duplicate-id check and the error policy. Both formats check
+each turn once, with :func:`~dialogkit.core.normalize_turn`, and the
+dialogue keeps the rows it returns: ingest builds no :class:`Turn`.
+:func:`json_record` is the one decoder of a jsonl line, shared with the
+evaluation readers.
 """
 
 from __future__ import annotations
@@ -27,13 +24,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import (
-    MASK,
-    MASK_SPEAKER,
-    Dialogue,
-    Turn,
-    parse_turn_line,
-)
+from .core import MASK, MASK_SPEAKER, Dialogue, _has_lone_surrogate
+from .core import normalize_turn, split_turn_line
 
 FORMATS = ("jsonl", "plain")
 
@@ -55,46 +47,12 @@ class RecordError(Exception):
 
 
 def _check_no_special_tokens(text: str, line_no: int, dialogue_id: str | None) -> None:
-    for token in (MASK, MASK_SPEAKER):
-        if token in text:
-            raise RecordError(
-                line_no, f"reserved token {token} appears in corpus text", dialogue_id
-            )
-
-
-def _turn_from_fields(
-    speaker: object, utterance: object, line_no: int, dialogue_id: str | None
-) -> Turn:
-    if speaker is not None and not isinstance(speaker, str):
-        raise RecordError(line_no, "speaker must be a string or null", dialogue_id)
-    if not isinstance(utterance, str) or not utterance.strip():
-        raise RecordError(line_no, "utterance must be a non-empty string", dialogue_id)
-    if speaker is not None:
-        _check_no_special_tokens(speaker, line_no, dialogue_id)
-    _check_no_special_tokens(utterance, line_no, dialogue_id)
-    try:
-        return Turn(speaker, utterance)
-    except ValueError as exc:
-        raise RecordError(line_no, str(exc), dialogue_id) from exc
-
-
-def _has_lone_surrogate(value: object) -> bool:
-    """Whether a decoded json value holds a string that cannot be written as
-    UTF-8. Walked with a stack, as the value may nest as deep as json allows."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            stack += value
-            stack += value.values()
-        elif isinstance(value, list):
-            stack += value
-        elif isinstance(value, str) and not value.isascii():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                return True
-    return False
+    # "[MASK" starts both reserved tokens: one scan for it clears most text.
+    if "[MASK" in text:
+        for token in (MASK, MASK_SPEAKER):
+            if token in text:
+                reason = f"reserved token {token} appears in corpus text"
+                raise RecordError(line_no, reason, dialogue_id)
 
 
 def json_record(line: str, line_no: int) -> dict:
@@ -124,26 +82,34 @@ def _dialogue_from_json_line(line: str, line_no: int) -> Dialogue:
     turns_field = record.get("turns")
     if not isinstance(turns_field, list) or not turns_field:
         raise RecordError(line_no, "'turns' must be a non-empty list", dialogue_id)
-    turns = []
+    rows = []
     for entry in turns_field:
         if not isinstance(entry, dict) or "utterance" not in entry:
             raise RecordError(line_no, "turn entries need an 'utterance'", dialogue_id)
-        turns.append(
-            _turn_from_fields(entry.get("speaker"), entry["utterance"], line_no, dialogue_id)
-        )
-    return Dialogue(dialogue_id, tuple(turns))
+        speaker, utterance = entry.get("speaker"), entry["utterance"]
+        if speaker is not None and not isinstance(speaker, str):
+            raise RecordError(line_no, "speaker must be a string or null", dialogue_id)
+        if not isinstance(utterance, str) or not utterance or utterance.isspace():
+            raise RecordError(line_no, "utterance must be a non-empty string", dialogue_id)
+        _check_no_special_tokens(speaker or "", line_no, dialogue_id)
+        _check_no_special_tokens(utterance, line_no, dialogue_id)
+        try:
+            rows.append(normalize_turn(speaker, utterance))
+        except ValueError as exc:
+            raise RecordError(line_no, str(exc), dialogue_id) from exc
+    return Dialogue.from_rows(dialogue_id, rows)
 
 
 def _dialogue_from_block(block: list[tuple[int, str]], block_index: int) -> Dialogue:
     dialogue_id = str(block_index)
-    turns = []
+    rows = []
     for line_no, line in block:
         _check_no_special_tokens(line, line_no, dialogue_id)
         try:
-            turns.append(parse_turn_line(line))
+            rows.append(normalize_turn(*split_turn_line(line)))
         except ValueError as exc:
             raise RecordError(line_no, str(exc), dialogue_id) from exc
-    return Dialogue(dialogue_id, tuple(turns))
+    return Dialogue.from_rows(dialogue_id, rows)
 
 
 class _CutBlock(list):
@@ -190,10 +156,7 @@ def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
     a fresh copy of the :class:`RecordError`, which keeps the line it was
     raised at but not its traceback, cause or their frames. A ``_CutBlock``
     that parses gives ``(line_no, None, None)``, which :func:`screen` drops.
-
-    ``index`` is the record's 0-based position, which names a plain block.
-    Depends on nothing but its arguments, so pool workers call it on records
-    the parent has only split.
+    ``index``, the record's 0-based position, names a plain block.
     """
     try:
         if format == "jsonl":
@@ -289,15 +252,11 @@ class StatsAccumulator:
         self.turn_total = 0
         self.speaker_total = 0
         self.word_total = 0
-        self.any_speakers = False
 
     def add(self, dialogue: Dialogue) -> None:
         self.dialogue_count += 1
-        self.turn_total += len(dialogue.turns)
-        distinct = {t.speaker for t in dialogue.turns if t.speaker is not None}
-        self.speaker_total += len(distinct)
-        if distinct:
-            self.any_speakers = True
+        self.turn_total += len(dialogue.speakers)
+        self.speaker_total += len({*dialogue.speakers} - {None})
         self.word_total += sum(dialogue.turn_token_counts)
 
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
@@ -305,7 +264,6 @@ class StatsAccumulator:
         self.turn_total += other.turn_total
         self.speaker_total += other.speaker_total
         self.word_total += other.word_total
-        self.any_speakers = self.any_speakers or other.any_speakers
         return self
 
     def finalize(self) -> CorpusStats:
@@ -315,7 +273,7 @@ class StatsAccumulator:
         return CorpusStats(
             dialogue_count=n,
             mean_turns=self.turn_total / n,
-            mean_speakers=self.speaker_total / n if self.any_speakers else None,
+            mean_speakers=self.speaker_total / n if self.speaker_total else None,
             mean_length_words=self.word_total / n,
         )
 

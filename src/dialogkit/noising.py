@@ -150,16 +150,16 @@ def select_window(dialogue: Dialogue, cfg: NoiseConfig, rng: random.Random) -> W
     """
     counts = dialogue.turn_token_counts
     budget = max(1, min(int(cfg.window_fraction * sum(counts)), cfg.max_window_tokens))
-    start = rng.randrange(len(dialogue.turns))
+    start = rng.randrange(len(counts))
     used = counts[start]
     end = start + 1
-    while end < len(dialogue.turns) and used + counts[end] <= budget:
+    while end < len(counts) and used + counts[end] <= budget:
         used += counts[end]
         end += 1
     return Window(
         start_turn=start,
         turn_count=end - start,
-        turns=tuple(dialogue.turns[start:end]),
+        turns=tuple(map(Turn, dialogue.speakers[start:end], dialogue.utterances[start:end])),
         token_budget=budget,
         oversized=counts[start] > budget,
     )
@@ -428,8 +428,7 @@ def build_example(
     lines = dialogue.turn_lines
     target_text = TURN_SEPARATOR.join(lines[window.start_turn : window_end])
 
-    turns: list[Turn] = list(window.turns)
-    turns, masked = noise_speaker_mask(turns, cfg.speaker_mask_prob, rng)
+    turns, masked = noise_speaker_mask(window.turns, cfg.speaker_mask_prob, rng)
 
     coin = "split" if rng.random() < 0.5 else "merge"
     op_trace: dict = {"coin": coin, "applied": "none", "split": None, "merge": None}

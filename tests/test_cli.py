@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -19,9 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogkit.cli import build_parser, main
+from dialogkit.core import Turn
 from dialogkit.corpus import ingest
 from dialogkit.noising import NoiseConfig
-from tests.conftest import SRC, dialogue_to_json_line, make_dialogue, synthetic_dialogue
+from tests.conftest import (
+    NO_EXPLAIN,
+    SRC,
+    dialogue_to_json_line,
+    make_dialogue,
+    synthetic_dialogue,
+)
 
 
 def _write_corpus(path, dialogues):
@@ -50,6 +58,57 @@ def corpus_path(tmp_path):
     path = tmp_path / "corpus.jsonl"
     _write_corpus(path, dialogues)
     return path
+
+
+# Each turn holds one word, d<dialogue>t<turn>, that no other turn holds.
+_TURN_WORD = re.compile(r"d\d+t\d+")
+
+
+@pytest.fixture
+def turn_corpus(tmp_path):
+    path = tmp_path / "turns.jsonl"
+    records = [
+        {
+            "id": f"d{k}",
+            "turns": [
+                {"speaker": f"S{i % 3}", "utterance": f"d{k}t{i} said this. And more."}
+                for i in range(40)
+            ],
+        }
+        for k in range(6)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def built_turns(monkeypatch):
+    """The raw utterance of every Turn built while the test runs."""
+    built: list[str] = []
+    check = Turn.__post_init__
+
+    def counted(turn):
+        built.append(turn.utterance)
+        check(turn)
+
+    monkeypatch.setattr(Turn, "__post_init__", counted)
+    return built
+
+
+def test_stats_builds_no_turn(turn_corpus, capsys, built_turns):
+    assert main(["stats", str(turn_corpus)]) == 0
+    assert json.loads(capsys.readouterr().out)["mean_turns"] == 40
+    assert built_turns == []
+
+
+def test_corrupt_builds_turns_only_inside_its_windows(turn_corpus, tmp_path, built_turns):
+    out = tmp_path / "out.jsonl"
+    assert main(["corrupt", str(turn_corpus), str(out), "--examples-per-dialogue", "1"]) == 0
+    targets = [json.loads(line)["target"] for line in out.read_text().splitlines()]
+    in_windows = set(_TURN_WORD.findall(" ".join(targets)))
+    built = set(_TURN_WORD.findall(" ".join(built_turns)))
+    assert len(targets) == 6 and len(in_windows) < 6 * 40 / 4
+    assert built and built <= in_windows
 
 
 def test_stats_hand_counts(corpus_path, capsys):
@@ -531,7 +590,7 @@ _FUZZ_RECORD = st.fixed_dictionaries({
 _FUZZ_LINE = _FUZZ_RECORD.map(json.dumps) | _FUZZ_TEXT | st.sampled_from(["{", "[1]", "[" * 3000])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
 @given(st.lists(_FUZZ_LINE, max_size=4), st.sampled_from(["jsonl", "plain"]), st.booleans())
 def test_every_input_ends_in_an_exit_code_and_one_line(lines, fmt, strict):
     with tempfile.TemporaryDirectory() as tmp:

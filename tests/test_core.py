@@ -8,10 +8,10 @@ from dialogkit.core import (
     MASK_SPEAKER,
     Dialogue,
     Turn,
-    parse_turn_line,
     serialize_dialogue,
     serialize_turn,
     split_sentences,
+    split_turn_line,
     tokenize,
 )
 
@@ -73,7 +73,7 @@ def test_turn_sentences_have_one_fixed_form(speaker, text):
     assert all(split_sentences(s) == [s] for s in turn.sentences)
     assert Turn(speaker, " ".join(turn.sentences)) == turn
     if speaker is not None:
-        assert parse_turn_line(serialize_turn(turn)) == turn
+        assert Turn(*split_turn_line(serialize_turn(turn))) == turn
 
 
 def test_turn_rejects_bad_speakers_and_sentences():
@@ -133,17 +133,17 @@ def test_token_accounting_is_additive():
 
 
 def test_parse_turn_line_with_speaker():
-    turn = parse_turn_line("Tom: Hello there. How are you?")
+    turn = Turn(*split_turn_line("Tom: Hello there. How are you?"))
     assert turn.speaker == "Tom"
     assert turn.sentences == ("Hello there.", "How are you?")
 
 
 def test_parse_turn_line_speakerless_variants():
-    assert parse_turn_line("no delimiter here").speaker is None
+    assert split_turn_line("no delimiter here")[0] is None
     # a colon inside the head means it is not a legal speaker name
-    assert parse_turn_line("a:b: text").speaker is None
+    assert split_turn_line("a:b: text")[0] is None
     # delimiter with nothing after it is not a speaker prefix
-    turn = parse_turn_line("odd:  ")
+    turn = Turn(*split_turn_line("odd:  "))
     assert turn.speaker is None
     assert turn.utterance == "odd:"
 
@@ -153,15 +153,15 @@ def test_parse_turn_line_reads_a_word_colon_prefix_as_a_speaker():
     # speakerless turn is indistinguishable from a turn spoken by "Note".
     line = serialize_turn(Turn(None, "Note: call back."))
     assert line == "Note: call back."
-    assert parse_turn_line(line) == Turn("Note", "call back.")
+    assert Turn(*split_turn_line(line)) == Turn("Note", "call back.")
 
 
 def test_parse_turn_line_rejects_blank():
     with pytest.raises(ValueError):
-        parse_turn_line("   ")
+        split_turn_line("   ")
 
 
 def test_parse_serialize_round_trip():
     text = "Tom: Hello there. How are you?\nplain narration line\nSam: Fine!"
-    turns = [parse_turn_line(line) for line in text.split("\n")]
+    turns = [Turn(*split_turn_line(line)) for line in text.split("\n")]
     assert serialize_dialogue(turns) == text

@@ -5,15 +5,16 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dialogkit.core import serialize_dialogue
+from dialogkit.core import MASK, MASK_SPEAKER, Dialogue, Turn, serialize_dialogue
 from dialogkit.corpus import (
     RecordError,
     StatsAccumulator,
     compute_stats,
     ingest,
 )
-from tests.conftest import dialogue_to_json_line, dialogues, make_dialogue
+from tests.conftest import NO_EXPLAIN, dialogue_to_json_line, dialogues, make_dialogue
 
 
 def _jsonl(records) -> list[str]:
@@ -54,6 +55,103 @@ def test_serialized_dialogue_survives_ingest(dialogue):
     assert serialize_dialogue(from_jsonl.turns) == text
     [from_plain] = list(ingest(text.split("\n"), "plain"))
     assert from_plain.turns == dialogue.turns
+
+
+# The reference per-turn checks of both readers, written out apart from the
+# package: the record checks of a jsonl turn in their order, then the checks
+# and whitespace folding of a Turn. Each returns (speaker, text) or raises
+# the RecordError the reader must raise.
+def _oracle_reserved(text, line_no, dialogue_id):
+    for token in (MASK, MASK_SPEAKER):
+        if token in text:
+            raise RecordError(line_no, f"reserved token {token} appears in corpus text", dialogue_id)
+
+
+def _oracle_jsonl_turn(speaker, utterance, line_no, dialogue_id):
+    if speaker is not None and not isinstance(speaker, str):
+        raise RecordError(line_no, "speaker must be a string or null", dialogue_id)
+    if not isinstance(utterance, str) or not utterance.strip():
+        raise RecordError(line_no, "utterance must be a non-empty string", dialogue_id)
+    if speaker is not None:
+        _oracle_reserved(speaker, line_no, dialogue_id)
+    _oracle_reserved(utterance, line_no, dialogue_id)
+    if speaker is not None:
+        speaker = " ".join(speaker.split())
+        if not speaker:
+            raise RecordError(line_no, "speaker is present but empty", dialogue_id)
+        if ":" in speaker:
+            raise RecordError(line_no, f"speaker contains a colon: {speaker!r}", dialogue_id)
+    return speaker, " ".join(utterance.split())
+
+
+def _oracle_plain_turn(line, line_no, dialogue_id):
+    _oracle_reserved(line, line_no, dialogue_id)
+    stripped = line.strip()
+    head, sep, rest = stripped.partition(": ")
+    if sep and head and ":" not in head and rest.strip():
+        return " ".join(head.split()), " ".join(rest.split())
+    return None, " ".join(stripped.split())
+
+
+# Fields with whitespace runs of every kind str.split folds (NBSP and the
+# \x1c separator too), colons and both reserved tokens, or of a wrong type.
+_DIFF_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "Bo", "é", ".", " ", "  ", "\t", "\n", "\xa0", "\x1c", ":", ": "]
+        + [MASK, MASK_SPEAKER, "[MASK"]
+    ),
+    max_size=6,
+).map("".join)
+_DIFF_SPEAKER = st.none() | _DIFF_TEXT | st.sampled_from([0, True, ["Ann"], {}])
+_DIFF_UTTERANCE = _DIFF_TEXT | st.sampled_from([None, 0, 1.5, ["Hi."]])
+
+
+def _check_against_oracle(lines, fmt, dialogue_id, oracle_turns):
+    """``oracle_turns()`` gives (speaker, text) per turn or raises the
+    record's error; ``ingest`` must agree on the error or on every column."""
+    errors: list[RecordError] = []
+    parsed = list(ingest(lines, fmt, on_error="skip", errors_out=errors))
+    try:
+        want = oracle_turns()
+    except RecordError as err:
+        assert [(e.line_no, e.reason, e.dialogue_id) for e in errors] == [
+            (err.line_no, err.reason, err.dialogue_id)
+        ]
+        return
+    assert errors == []
+    [got] = parsed
+    assert got == Dialogue(dialogue_id, tuple(Turn(s, u) for s, u in want))
+    lines_want = tuple(u if s is None else f"{s}: {u}" for s, u in want)
+    assert got.speakers == tuple(s for s, _ in want)
+    assert got.utterances == tuple(u for _, u in want)
+    assert got.turn_lines == lines_want
+    assert got.turn_token_counts == tuple(len(line.split()) for line in lines_want)
+
+
+def _plain_line(speaker, utterance):
+    """A turn's line in a plain file, or None when no such line can hold it."""
+    if not isinstance(utterance, str) or not isinstance(speaker, (str, type(None))):
+        return None
+    line = utterance if speaker is None else f"{speaker}: {utterance}"
+    return line if line.strip() and "\n" not in line else None
+
+
+@settings(max_examples=400, deadline=None, phases=NO_EXPLAIN)
+@given(st.lists(st.tuples(_DIFF_SPEAKER, _DIFF_UTTERANCE), min_size=1, max_size=4), st.integers(1, 3))
+def test_both_readers_match_the_turn_by_turn_oracle(fields, first_line):
+    record = {"id": "d", "turns": [{"speaker": s, "utterance": u} for s, u in fields]}
+    _check_against_oracle(
+        [json.dumps(record)], "jsonl", "d", lambda: [_oracle_jsonl_turn(s, u, 1, "d") for s, u in fields]
+    )
+    # One plain block, from line ``first_line`` on, of the turns a line can hold.
+    lines = [line for line in (_plain_line(s, u) for s, u in fields) if line is not None]
+    if lines:
+        _check_against_oracle(
+            [""] * (first_line - 1) + lines,
+            "plain",
+            "0",
+            lambda: [_oracle_plain_turn(line, first_line + i, "0") for i, line in enumerate(lines)],
+        )
 
 
 MALFORMED = [

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from dialogkit.core import (
     MASK,
     MASK_SPEAKER,
+    Dialogue,
     Turn,
+    normalize_turn,
     serialize_dialogue,
     tokenize,
 )
@@ -462,6 +464,15 @@ def test_build_example_deterministic_per_id_and_index():
     assert first.to_record() == second.to_record()
     third = build_example(dialogue, cfg, example_index=3)
     assert third.noise_trace["seed"] != first.noise_trace["seed"]
+
+
+@pytest.mark.parametrize("dialogue_id", ["\ud800", "d\udfff1"])
+def test_lone_surrogate_id_never_reaches_build_example(dialogue_id):
+    # derive_seed hashes the id's UTF-8 bytes, which a lone surrogate has not.
+    with pytest.raises(ValueError, match="lone surrogate"):
+        build_example(Dialogue(dialogue_id, (Turn("A", "Hi."),)), NoiseConfig())
+    with pytest.raises(ValueError, match="lone surrogate"):
+        build_example(Dialogue.from_rows(dialogue_id, [normalize_turn("A", "Hi.")]), NoiseConfig())
 
 
 def test_build_example_trace_seed_matches_derivation():
