@@ -19,11 +19,12 @@ on, so the first bad line is reported in file order. Json lines are cut by
 :func:`~dialogkit.corpus.json_record` in every command. ``stats`` and
 ``corrupt --workers 1`` run the three stages of
 :func:`~dialogkit.corpus.ingest` in this process. With ``--workers N``,
-``corrupt`` splits records here, the pool workers parse them and build
-their examples, and screening and the write stay here; an error from
-reading reaches this process through the pool after the records read
-before it, so the output, exit code and stderr line equal those of one
-worker.
+``corrupt`` splits records here and feeds them to ``Pool.imap``, the pool
+workers parse them and build their examples, and screening and the write
+stay here. A read error ends the feed and is raised once every record
+before it has been screened, so the output, exit code and stderr line
+equal those of one worker. However the run ends, the pool is closed and
+joined, never terminated, so every task it was sent is answered first.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
 paths, an output or sidecar that is the input file), 2 data error
@@ -37,13 +38,14 @@ variable and then by --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
 from typing import Iterator
 
 from . import __version__
@@ -126,19 +128,14 @@ class _Result:
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(_SEED_ENV)
-    if raw is None:
-        return 0
+    raw = os.environ.get(_SEED_ENV, "0")
     try:
         return int(raw)
     except ValueError:
-        print(f"invalid {_SEED_ENV} value: {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _Failure(EXIT_USAGE, f"invalid {_SEED_ENV} value: {raw!r}") from None
 
 
-def _dump(record: dict, pretty: bool = False) -> str:
-    if pretty:
-        return json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2)
+def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
@@ -201,59 +198,56 @@ def _corrupt_one(dialogue, cfg: NoiseConfig, examples_per_dialogue: int) -> list
     return lines
 
 
-def _corrupt_records(task: tuple) -> list[tuple]:
-    """Pool worker: parse a chunk of raw records and build their examples.
-
-    Returns one :func:`screen` outcome per record, with the example lines in
-    place of the dialogue; a :class:`RecordError` or None crosses back as it
-    is.
-    """
-    format, records, cfg, examples_per_dialogue = task
-    outcomes = []
-    for index, line_no, payload in records:
-        line_no, dialogue_id, value = parse_outcome(format, line_no, payload, index)
-        if value is not None and not isinstance(value, RecordError):
-            value = _corrupt_one(value, cfg, examples_per_dialogue)
-        outcomes.append((line_no, dialogue_id, value))
-    return outcomes
-
-
-def _record_chunks(lines, format: str) -> Iterator[list[tuple]]:
-    """``(index, line_no, payload)`` raw records, ``_CHUNK_RECORDS`` at a time.
-
-    The pool pulls this generator in its task-handler thread. An error from
-    reading ``lines`` first yields the records read before it, then
-    propagates: ``Pool.imap`` files it as a failed task after every chunk
-    already sent, so the main thread raises it only once the results of
-    every earlier record have been screened.
-    """
-    chunk: list[tuple] = []
-    try:
-        for index, (line_no, payload) in enumerate(split_records(lines, format)):
-            chunk.append((index, line_no, payload))
-            if len(chunk) == _CHUNK_RECORDS:
-                yield chunk
-                chunk = []
-    except Exception:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
+def _corrupt_record(format: str, cfg: NoiseConfig, examples_per_dialogue: int, record):
+    """Pool worker: one ``(index, (line_no, payload))`` raw record as its
+    :func:`screen` outcome, with the example lines in place of the dialogue;
+    a :class:`RecordError` or None crosses back as it is."""
+    index, (line_no, payload) = record
+    line_no, dialogue_id, value = parse_outcome(format, line_no, payload, index)
+    if value is not None and not isinstance(value, RecordError):
+        value = _corrupt_one(value, cfg, examples_per_dialogue)
+    return line_no, dialogue_id, value
 
 
 def _corrupt_in_pool(
     args: argparse.Namespace, cfg: NoiseConfig, on_error: str, errors: list
 ) -> Iterator[list[str]]:
     """Each dialogue's example lines, in input order, from ``args.workers``
-    processes that parse and corrupt; this process only splits and screens."""
-    chunks = _record_chunks(_read_lines(args.input), args.format)
-    tasks = ((args.format, chunk, cfg, args.examples_per_dialogue) for chunk in chunks)
-    import multiprocessing
+    processes that parse and corrupt; this process only splits and screens.
 
-    with multiprocessing.Pool(args.workers) as pool:
-        outcomes = chain.from_iterable(pool.imap(_corrupt_records, tasks))
-        yield from screen(outcomes, on_error, errors)
+    The feed of raw records runs in the pool's task thread, which sends
+    them ``_CHUNK_RECORDS`` at a time. A read error ends the feed, and it is
+    raised here once every record before it has been screened. On any exit
+    the feed stops at its next record and the pool is closed and joined:
+    every task already sent is answered, since the workers ignore SIGINT.
+    """
+    import multiprocessing
+    import signal
+
+    stop, failure = False, None
+
+    def records():
+        nonlocal failure
+        try:
+            for record in enumerate(split_records(_read_lines(args.input), args.format)):
+                if stop:
+                    return
+                yield record
+        except (RecordError, OSError) as exc:
+            failure = exc
+
+    work = functools.partial(_corrupt_record, args.format, cfg, args.examples_per_dialogue)
+    pool = multiprocessing.Pool(
+        args.workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
+    try:
+        yield from screen(pool.imap(work, records(), _CHUNK_RECORDS), on_error, errors)
+    finally:
+        stop = True
+        pool.close()
+        pool.join()
+    if failure is not None:
+        raise failure
 
 
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
@@ -274,7 +268,9 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
         )
         examples = (_corrupt_one(d, cfg, args.examples_per_dialogue) for d in dialogues)
     records = 0
-    with open(_partial(args.output), "w", encoding="utf-8") as out:
+    # Closing ``examples`` on any exit, Ctrl-C included, joins its pool here;
+    # left to the interpreter's exit hooks, the pool would be terminated.
+    with open(_partial(args.output), "w", encoding="utf-8") as out, contextlib.closing(examples):
         for lines in examples:
             for line in lines:
                 out.write(line + "\n")
@@ -455,9 +451,6 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"dialogkit {__version__}")
-    parser.add_argument(
-        "--pretty", action="store_true", help="indent json output for reading"
-    )
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     stats = subparsers.add_parser("stats", help="corpus statistics as json")
@@ -511,12 +504,12 @@ def main(argv: list[str] | None = None) -> int:
     failures to exit codes, prints its rows and emits its manifest."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     output = getattr(args, "output", None)
     sidecar = None if output is None else output + ".manifest.json"
     started = time.perf_counter()
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         for path in (output, sidecar):
             if path is not None and os.path.isdir(path):
                 raise _Failure(EXIT_USAGE, f"{path}: is a directory")
@@ -526,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
             raise _Failure(EXIT_USAGE, f"{output}: no such directory")
         result = args.func(args)
         for row in result.rows:
-            print(_dump(row, args.pretty))
+            print(_dump(row))
         manifest = _dump(
             {
                 "tool": "dialogkit",

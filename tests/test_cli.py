@@ -241,10 +241,20 @@ def test_corrupt_seed_env_default(tmp_path, corpus_path, capsys, monkeypatch):
 
 def test_corrupt_invalid_env_seed(tmp_path, corpus_path, monkeypatch, capsys):
     monkeypatch.setenv("DIALOGKIT_SEED", "zebra")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["corrupt", str(corpus_path), str(tmp_path / "x.jsonl")])
-    assert excinfo.value.code == 1
-    capsys.readouterr()
+    assert main(["corrupt", str(corpus_path), str(tmp_path / "x.jsonl")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "corrupt: invalid DIALOGKIT_SEED value: 'zebra'"
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
+def test_eval_seg_invalid_env_seed(tmp_path, monkeypatch, capsys):
+    labels = tmp_path / "labels.jsonl"
+    _write_labels(labels, [{"id": "a", "labels": [0, 1, 0]}])
+    monkeypatch.setenv("DIALOGKIT_SEED", "zebra")
+    assert main(["eval-seg", str(labels), str(labels), "--baselines"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["eval-seg: invalid DIALOGKIT_SEED value: 'zebra'"]
 
 
 def test_corrupt_strict_on_bad_corpus(tmp_path, capsys):
@@ -349,7 +359,7 @@ def test_corrupt_workers_past_the_bound_start_no_pool(tmp_path, corpus_path, cap
 
     asked = []
 
-    def pool(processes):
+    def pool(processes, **_):
         asked.append(processes)
         raise _PoolAsked
 
@@ -670,6 +680,53 @@ def test_corrupt_workers_report_errors_in_input_order(tmp_path):
             pass
     assert [str(e) for e in errors] == json.loads(result.stdout)
     assert [e.line_no for e in errors] == [21, 36]
+
+
+_POOL_TEARDOWN_CHILD = """
+import json, sys
+from multiprocessing import pool
+from dialogkit import cli
+calls = {"terminate": 0, "lines": 0}
+terminate, read_lines = pool.Pool.terminate, cli._read_lines
+
+def counted_terminate(self):
+    calls["terminate"] += 1
+    terminate(self)
+
+def counted_lines(path):
+    for line in read_lines(path):
+        calls["lines"] += 1
+        yield line
+
+pool.Pool.terminate, cli._read_lines = counted_terminate, counted_lines
+code = cli.main(["corrupt", *sys.argv[1:3], "--workers", "2", "--strict"])
+print(json.dumps(calls))
+sys.exit(code)
+"""
+
+
+def test_corrupt_workers_join_the_pool_after_a_strict_error(tmp_path):
+    # One task of 16 such records is larger than a 64 KB pipe buffer, so a
+    # pool terminated while its task thread sends one could wait forever.
+    record = json.loads(dialogue_to_json_line(synthetic_dialogue("d", 300, random.Random(0))))
+    big = [json.dumps({**record, "id": f"d{i}"}) for i in range(200)]
+    assert min(map(len, big)) >= 20_000
+    rows = [big[0], '{"broken', *big[1:]]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out" / "out.jsonl"
+    out.parent.mkdir()
+    result = subprocess.run(
+        [sys.executable, "-c", _POOL_TEARDOWN_CHILD, str(corpus), str(out)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("corrupt: line 2: invalid json: ")
+    assert os.listdir(out.parent) == []
+    calls = json.loads(result.stdout)
+    assert calls["terminate"] == 0
+    assert calls["lines"] < len(rows)
 
 
 def _write_labels(path, rows):
