@@ -17,19 +17,19 @@ CRLF and CR line endings and checks each line as UTF-8 before handing it
 on, so the first bad line is reported in file order. Json lines are cut by
 :func:`~dialogkit.corpus.split_records` and decoded by
 :func:`~dialogkit.corpus.json_record` in every command. ``stats`` and
-``corrupt --workers 1`` run the three stages of
-:func:`~dialogkit.corpus.ingest` in this process. With ``--workers N``,
-``corrupt`` splits records here and feeds them to ``Pool.imap``, the pool
-workers parse them and build their examples, and screening and the write
-stay here. A read error ends the feed and is raised once every record
-before it has been screened, so the output, exit code and stderr line
-equal those of one worker. However the run ends, the pool is closed and
-joined, never terminated, so every task it was sent is answered first.
+``corrupt``, at any ``--workers``, read through
+:func:`~dialogkit.corpus.ingest`: it splits records here, maps their parse
+(and, for ``corrupt``, the build of each dialogue's examples) over them,
+and screens them here in input order. One worker maps with the builtin
+``map``; ``--workers N`` maps the same function with ``Pool.imap`` in the
+pool's workers, so the output, exit code and stderr line do not depend on
+N. However the run ends, the pool is closed and joined, never terminated.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
 paths, an output or sidecar that is the input file), 2 data error
 (malformed records under --strict, input that is not UTF-8, or evaluation
-files that are misaligned or cannot be scored), 3 invariant failure.
+files that are misaligned or cannot be scored), 3 invariant failure, 130
+interrupted by Ctrl-C (the code a shell reports for SIGINT).
 
 The default seed is 0, overridable by the DIALOGKIT_SEED environment
 variable and then by --seed.
@@ -52,11 +52,9 @@ from . import __version__
 from .corpus import (
     FORMATS,
     RecordError,
-    StatsAccumulator,
+    compute_stats,
     ingest,
     json_record,
-    parse_outcome,
-    screen,
     split_records,
 )
 from .metrics import (
@@ -75,6 +73,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INVARIANT = 3
+EXIT_INTERRUPTED = 130
 
 _SEED_ENV = "DIALOGKIT_SEED"
 # The ``corrupt`` noise flags: every NoiseConfig field but the seed, which
@@ -92,7 +91,7 @@ segmentation and summary scores, and the attention invariant suite. Run
 
 Exit codes: 0 success, 1 usage error, 2 data error (a malformed record
 under --strict, input that is not UTF-8, evaluation files that cannot be
-scored), 3 invariant failure.
+scored), 3 invariant failure, 130 interrupted by Ctrl-C.
 
 The seed defaults to 0; {_SEED_ENV} overrides it and --seed overrides both."""
 
@@ -173,14 +172,10 @@ def _partial(path: str) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> _Result:
-    accumulator = StatsAccumulator()
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
-    for dialogue in ingest(
-        _read_lines(args.input), args.format, on_error=on_error, errors_out=errors
-    ):
-        accumulator.add(dialogue)
-    stats = accumulator.finalize()
+    dialogues = ingest(_read_lines(args.input), args.format, on_error=on_error, errors_out=errors)
+    stats = compute_stats(dialogues)
     return _Result(
         {"format": args.format, "strict": args.strict},
         [args.input],
@@ -190,7 +185,7 @@ def cmd_stats(args: argparse.Namespace) -> _Result:
     )
 
 
-def _corrupt_one(dialogue, cfg: NoiseConfig, examples_per_dialogue: int) -> list[str]:
+def _corrupt_one(cfg: NoiseConfig, examples_per_dialogue: int, dialogue) -> list[str]:
     lines = []
     for index in range(examples_per_dialogue):
         example = build_example(dialogue, cfg, example_index=index)
@@ -198,56 +193,28 @@ def _corrupt_one(dialogue, cfg: NoiseConfig, examples_per_dialogue: int) -> list
     return lines
 
 
-def _corrupt_record(format: str, cfg: NoiseConfig, examples_per_dialogue: int, record):
-    """Pool worker: one ``(index, (line_no, payload))`` raw record as its
-    :func:`screen` outcome, with the example lines in place of the dialogue;
-    a :class:`RecordError` or None crosses back as it is."""
-    index, (line_no, payload) = record
-    line_no, dialogue_id, value = parse_outcome(format, line_no, payload, index)
-    if value is not None and not isinstance(value, RecordError):
-        value = _corrupt_one(value, cfg, examples_per_dialogue)
-    return line_no, dialogue_id, value
-
-
-def _corrupt_in_pool(
-    args: argparse.Namespace, cfg: NoiseConfig, on_error: str, errors: list
-) -> Iterator[list[str]]:
-    """Each dialogue's example lines, in input order, from ``args.workers``
-    processes that parse and corrupt; this process only splits and screens.
-
-    The feed of raw records runs in the pool's task thread, which sends
-    them ``_CHUNK_RECORDS`` at a time. A read error ends the feed, and it is
-    raised here once every record before it has been screened. On any exit
-    the feed stops at its next record and the pool is closed and joined:
-    every task already sent is answered, since the workers ignore SIGINT.
+@contextlib.contextmanager
+def _mapper(workers: int):
+    """The map that runs :func:`~dialogkit.corpus.ingest`'s parse and build:
+    the builtin ``map`` for one worker, else ``Pool.imap`` over ``workers``
+    processes, which it sends raw records ``_CHUNK_RECORDS`` at a time. On
+    any exit the pool is closed and joined, never terminated: its workers
+    ignore SIGINT, so every task it was sent is answered first.
     """
+    if workers == 1:
+        yield map
+        return
     import multiprocessing
     import signal
 
-    stop, failure = False, None
-
-    def records():
-        nonlocal failure
-        try:
-            for record in enumerate(split_records(_read_lines(args.input), args.format)):
-                if stop:
-                    return
-                yield record
-        except (RecordError, OSError) as exc:
-            failure = exc
-
-    work = functools.partial(_corrupt_record, args.format, cfg, args.examples_per_dialogue)
     pool = multiprocessing.Pool(
-        args.workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
     )
     try:
-        yield from screen(pool.imap(work, records(), _CHUNK_RECORDS), on_error, errors)
+        yield functools.partial(pool.imap, chunksize=_CHUNK_RECORDS)
     finally:
-        stop = True
         pool.close()
         pool.join()
-    if failure is not None:
-        raise failure
 
 
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
@@ -260,21 +227,21 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
     cfg = _configured(NoiseConfig, **noise, global_seed=args.seed)
     errors: list[RecordError] = []
     on_error = "raise" if args.strict else "skip"
-    if args.workers > 1:
-        examples = _corrupt_in_pool(args, cfg, on_error, errors)
-    else:
-        dialogues = ingest(
-            _read_lines(args.input), args.format, on_error=on_error, errors_out=errors
-        )
-        examples = (_corrupt_one(d, cfg, args.examples_per_dialogue) for d in dialogues)
+    build = functools.partial(_corrupt_one, cfg, args.examples_per_dialogue)
     records = 0
-    # Closing ``examples`` on any exit, Ctrl-C included, joins its pool here;
-    # left to the interpreter's exit hooks, the pool would be terminated.
-    with open(_partial(args.output), "w", encoding="utf-8") as out, contextlib.closing(examples):
-        for lines in examples:
-            for line in lines:
-                out.write(line + "\n")
-                records += 1
+    # Closing the examples on any exit, Ctrl-C included, stops the feed
+    # before the pool joins; a pool closed with its feed running would read
+    # and answer the rest of the input first.
+    with _mapper(args.workers) as imap, open(_partial(args.output), "w", encoding="utf-8") as out:
+        examples = ingest(
+            _read_lines(args.input), args.format, on_error=on_error, errors_out=errors,
+            build=build, imap=imap,
+        )
+        with contextlib.closing(examples):
+            for lines in examples:
+                for line in lines:
+                    out.write(line + "\n")
+                    records += 1
     config = {
         "noise": asdict(cfg),
         "format": args.format,
@@ -543,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, _Failure):
             return exc.code
         return EXIT_DATA if isinstance(exc, RecordError) else EXIT_USAGE
+    except KeyboardInterrupt:
+        print(f"{args.command}: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
         for path in (output, sidecar):
             if path is not None and os.path.exists(_partial(path)):

@@ -7,11 +7,11 @@ Two input formats are supported:
 * ``plain``: blocks of ``Speaker: text`` lines separated by blank lines;
   the 0-based block index (as a decimal string) becomes the dialogue id.
 
-Reading runs in three streaming stages, which :func:`ingest` chains in one
-process: :func:`split_records` cuts lines into raw records,
-:func:`parse_outcome` turns one into a :class:`Dialogue` or its
-:class:`RecordError` (pool workers run it too), and :func:`screen` applies
-the in-order duplicate-id check and the error policy. Both formats check
+Reading runs in three streaming stages, which :func:`ingest` chains:
+:func:`split_records` cuts lines into raw records, ``_outcome`` turns one
+into a :class:`Dialogue` or its :class:`RecordError`, in this process or
+in pool workers, and :func:`screen` applies the in-order duplicate-id
+check and the error policy. Both formats check
 each turn once, with :func:`~dialogkit.core.normalize_turn`, and the
 dialogue keeps the rows it returns: ingest builds no :class:`Turn`.
 :func:`json_record` is the one decoder of a jsonl line, shared with the
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .core import MASK, MASK_SPEAKER, Dialogue, _has_lone_surrogate
@@ -125,7 +126,7 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
     is a list of ``(line_no, line)``. A read error (a line that is not
     UTF-8, or an I/O error) mid-block first yields the block read so far as
     a ``_CutBlock``, so that block's own errors, on earlier lines, come
-    first; :func:`parse_outcome` never turns it into a dialogue.
+    first; ``_outcome`` never turns it into a dialogue.
     """
     if format == "jsonl":
         for line_no, raw in enumerate(lines, 1):
@@ -150,14 +151,17 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
         yield block[0][0], block
 
 
-def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
-    """Stage 2: one raw record from :func:`split_records` as a :func:`screen`
-    outcome, ``(line_no, id, dialogue)``, or ``(line_no, None, error)`` with
-    a fresh copy of the :class:`RecordError`, which keeps the line it was
-    raised at but not its traceback, cause or their frames. A ``_CutBlock``
-    that parses gives ``(line_no, None, None)``, which :func:`screen` drops.
-    ``index``, the record's 0-based position, names a plain block.
+def _outcome(format: str, build, record) -> tuple:
+    """Stage 2: one ``(index, (line_no, payload))`` raw record as a
+    :func:`screen` outcome, ``(line_no, id, value)``, where ``value`` is the
+    dialogue, or ``build(dialogue)`` when ``build`` is given. A record that
+    fails gives ``(line_no, None, error)`` with a fresh copy of the
+    :class:`RecordError`, which keeps the line it was raised at but not its
+    traceback, cause or their frames. A ``_CutBlock`` that parses gives
+    ``(line_no, None, None)``, which :func:`screen` drops. ``index``, the
+    record's 0-based position, names a plain block.
     """
+    index, (line_no, payload) = record
     try:
         if format == "jsonl":
             dialogue = _dialogue_from_json_line(payload, line_no)
@@ -167,7 +171,7 @@ def parse_outcome(format: str, line_no: int, payload, index: int) -> tuple:
         return line_no, None, RecordError(err.line_no, err.reason, err.dialogue_id)
     if isinstance(payload, _CutBlock):
         return line_no, None, None
-    return line_no, dialogue.id, dialogue
+    return line_no, dialogue.id, dialogue if build is None else build(dialogue)
 
 
 def screen(
@@ -209,21 +213,45 @@ def ingest(
     format: str = "jsonl",
     on_error: str = "raise",
     errors_out: list[RecordError] | None = None,
-) -> Iterator[Dialogue]:
+    *,
+    build=None,
+    imap=map,
+) -> Iterator:
     """Stream validated dialogues out of an iterable of text lines.
 
-    The three stages in one process: :func:`split_records`,
-    :func:`parse_outcome` and :func:`screen`. ``on_error="raise"`` aborts on
-    the first bad record; ``"skip"`` drops it, appending to ``errors_out``
-    when given. Duplicate ids are record errors. An error raised by
-    ``lines`` itself propagates after every record before it; a ``plain``
-    block it cuts short is screened for its errors but never yielded.
+    The three stages: :func:`split_records`, then ``_outcome`` under
+    ``imap`` (the builtin ``map``, or a pool's ``imap``, whose task thread
+    then runs the feed of raw records), then :func:`screen`. ``build``, when
+    given, is applied to each dialogue where it is parsed, and its result is
+    yielded instead. ``on_error="raise"`` aborts on the first bad record;
+    ``"skip"`` drops it, appending to ``errors_out`` when given. Duplicate
+    ids are record errors. A read error, a :class:`RecordError` or
+    ``OSError`` from ``lines``, ends the feed and is raised once every
+    record before it has been screened; a ``plain`` block it cuts short is
+    screened for its errors but never yielded. On any exit, closing
+    included, the feed stops before its next record.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
-    records = enumerate(split_records(lines, format))
-    outcomes = (parse_outcome(format, n, payload, i) for i, (n, payload) in records)
-    yield from screen(outcomes, on_error, errors_out)
+    stop, failure = False, None
+
+    def records():
+        nonlocal failure
+        try:
+            for record in enumerate(split_records(lines, format)):
+                if stop:
+                    return
+                yield record
+        except (RecordError, OSError) as exc:
+            failure = exc
+
+    try:
+        outcomes = imap(partial(_outcome, format, build), records())
+        yield from screen(outcomes, on_error, errors_out)
+    finally:
+        stop = True
+    if failure is not None:
+        raise failure
 
 
 @dataclass(frozen=True)

@@ -657,11 +657,14 @@ def test_crlf_and_cr_line_endings_read_like_lf(tmp_path, capsys, fmt):
 
 
 _POOL_ERRORS_CHILD = """
-import json, sys
+import functools, json, sys
 from dialogkit import cli
 args = cli.build_parser().parse_args(["corrupt", *sys.argv[1:3], "--workers", "2"])
+build = functools.partial(cli._corrupt_one, cli.NoiseConfig(), args.examples_per_dialogue)
 errors = []
-list(cli._corrupt_in_pool(args, cli.NoiseConfig(), "skip", errors))
+with cli._mapper(args.workers) as imap:
+    lines = cli._read_lines(args.input)
+    list(cli.ingest(lines, "jsonl", "skip", errors_out=errors, build=build, imap=imap))
 print(json.dumps([str(e) for e in errors]))
 """
 
@@ -727,6 +730,43 @@ def test_corrupt_workers_join_the_pool_after_a_strict_error(tmp_path):
     calls = json.loads(result.stdout)
     assert calls["terminate"] == 0
     assert calls["lines"] < len(rows)
+
+
+def _interrupt(*_):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["stats", "{input}"],
+     ["corrupt", "{input}", "{output}", "--workers", "1"],
+     ["corrupt", "{input}", "{output}", "--workers", "2"]],
+    ids=["stats", "corrupt-1", "corrupt-2"],
+)
+def test_ctrl_c_ends_a_run_with_one_line_and_code_130(
+    tmp_path, corpus_path, capsys, monkeypatch, command
+):
+    # The interrupt comes from this process's main thread: accumulating a
+    # dialogue, or writing the first example to the temp output.
+    import multiprocessing
+
+    import dialogkit.cli
+    from dialogkit.corpus import StatsAccumulator
+
+    def interrupting_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handle.write = _interrupt
+        return handle
+
+    monkeypatch.setattr(StatsAccumulator, "add", _interrupt)
+    monkeypatch.setattr(dialogkit.cli, "open", interrupting_open, raising=False)
+    argv = [part.format(input=corpus_path, output=tmp_path / "out.jsonl") for part in command]
+    assert main(argv) == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{command[0]}: interrupted"]
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+    assert multiprocessing.active_children() == []
 
 
 def _write_labels(path, rows):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
+import queue
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +246,117 @@ def test_plain_block_cut_by_a_read_error_reports_its_own_errors_first():
         list(ingest(lines, "plain", on_error="skip", errors_out=errors))
     assert excinfo.value.line_no == 3
     assert [(e.line_no, e.dialogue_id) for e in errors] == [(1, "0")]
+
+
+_DONE = object()
+
+
+class _ThreadPool:
+    """``Pool.imap`` without processes. A thread runs the feed and the
+    function, and a queue of one carries each result back in order. An
+    exception the feed raises ends it unseen, as ``Pool.imap`` files it
+    against its last task; ``join`` answers every task sent, as
+    ``Pool.join`` does."""
+
+    def __init__(self):
+        self.runs = []
+
+    def imap(self, function, iterable):
+        results = queue.Queue(maxsize=1)
+
+        def run():
+            items = iter(iterable)
+            while True:
+                try:
+                    item = next(items)
+                except Exception:
+                    break
+                results.put(function(item))
+            results.put(_DONE)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        self.runs.append((thread, results))
+        return iter(lambda: results.get(timeout=10), _DONE)
+
+    def join(self):
+        for thread, results in self.runs:
+            deadline = time.monotonic() + 10
+            while thread.is_alive() and time.monotonic() < deadline:
+                with contextlib.suppress(queue.Empty):
+                    results.get(timeout=0.01)
+            assert not thread.is_alive()
+
+
+# Lines of each format: good and bad records, a repeated id, blank lines.
+_FEED_LINES = {
+    "jsonl": st.sampled_from(
+        [*_jsonl(GOOD), "", '{"broken', json.dumps({"id": "c", "turns": [{"utterance": "[MASK]"}]})]
+    ),
+    "plain": st.sampled_from(["Ann: Hi there.", "Bob: ok.", "", "", "narration", "Cy: a [MASK]."]),
+}
+_READ_ERRORS = {"record": lambda n: RecordError(n, "not valid utf-8"), "os": lambda n: OSError("gone")}
+
+
+def _feed_run(lines, fmt, on_error, fault, imap):
+    """What ``ingest`` yields, skips and raises on ``lines``, which raise
+    the read error that ``fault`` names at its line, if any."""
+    if fault is not None:
+        at, kind = fault
+        lines = _then_raise(lines[:at], _READ_ERRORS[kind](at + 1))
+    got, errors, raised = [], [], None
+    try:
+        for dialogue in ingest(lines, fmt, on_error=on_error, errors_out=errors, imap=imap):
+            got.append(dialogue)
+    except (RecordError, OSError) as exc:
+        raised = (type(exc), str(exc))
+    return got, [str(e) for e in errors], raised
+
+
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
+@given(
+    st.sampled_from(["jsonl", "plain"]).flatmap(
+        lambda fmt: st.tuples(st.just(fmt), st.lists(_FEED_LINES[fmt], max_size=12))
+    ),
+    st.sampled_from(["raise", "skip"]),
+    st.none() | st.tuples(st.integers(0, 12), st.sampled_from(sorted(_READ_ERRORS))),
+)
+def test_ingest_through_a_pool_like_imap_matches_the_builtin_map(case, on_error, fault):
+    # A read error raised in the pool's feed thread would be lost there:
+    # ingest must keep it and raise it after every record before it.
+    fmt, lines = case
+    pool = _ThreadPool()
+    try:
+        got = _feed_run(lines, fmt, on_error, fault, pool.imap)
+    finally:
+        pool.join()
+    assert got == _feed_run(lines, fmt, on_error, fault, map)
+
+
+def _counted(lines, pulled):
+    for line in lines:
+        pulled.append(line)
+        yield line
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "plain"])
+def test_closing_ingest_stops_its_feed(fmt):
+    if fmt == "jsonl":
+        lines = [json.dumps({"id": f"d{i}", "turns": [{"utterance": "x."}]}) for i in range(100)]
+    else:
+        lines = ["Ann: x.", "Bob: y.", ""] * 100
+    per_record = len(lines) // 100
+    # The builtin map pulls only the record it yields. The thread pulls at
+    # most four: the one yielded, one in the queue, one waiting to enter it
+    # and the one it finds the stop flag set before.
+    pool = _ThreadPool()
+    for imap, most in ((map, 1), (pool.imap, 4)):
+        pulled: list[str] = []
+        dialogues = ingest(_counted(lines, pulled), fmt, imap=imap)
+        next(dialogues)
+        dialogues.close()
+        pool.join()
+        assert 0 < len(pulled) <= most * per_record
 
 
 @pytest.mark.parametrize("dialogue_id", ["d1", None])
