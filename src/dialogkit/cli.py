@@ -173,8 +173,9 @@ def _partial(path: str) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> _Result:
     errors: list[RecordError] = []
-    on_error = "raise" if args.strict else "skip"
-    dialogues = ingest(_read_lines(args.input), args.format, on_error=on_error, errors_out=errors)
+    dialogues = ingest(
+        _read_lines(args.input), args.format, errors_out=None if args.strict else errors
+    )
     stats = compute_stats(dialogues)
     return _Result(
         {"format": args.format, "strict": args.strict},
@@ -199,7 +200,11 @@ def _mapper(workers: int):
     the builtin ``map`` for one worker, else ``Pool.imap`` over ``workers``
     processes, which it sends raw records ``_CHUNK_RECORDS`` at a time. On
     any exit the pool is closed and joined, never terminated: its workers
-    ignore SIGINT, so every task it was sent is answered first.
+    ignore SIGINT, so every task it was sent is answered first. They are
+    forked with SIGINT blocked, so a Ctrl-C cannot kill one before it
+    ignores SIGINT and leave the replacement the pool forks orphaned; the
+    ``initializer`` covers start methods whose workers do not inherit the
+    mask. The caller's mask is restored once the pool exists, and on exit.
     """
     if workers == 1:
         yield map
@@ -207,14 +212,23 @@ def _mapper(workers: int):
     import multiprocessing
     import signal
 
-    pool = multiprocessing.Pool(
-        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    )
+    # Read first: a block call that raises KeyboardInterrupt has already set it.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    pool = None
     try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        pool = multiprocessing.Pool(
+            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        )
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield functools.partial(pool.imap, chunksize=_CHUNK_RECORDS)
     finally:
-        pool.close()
-        pool.join()
+        # With a pool the mask is already restored, and a Ctrl-C that the
+        # restore raises must still join it; so the restore comes last.
+        if pool is not None:
+            pool.close()
+            pool.join()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
@@ -226,7 +240,6 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
     noise = {f.name: getattr(args, f.name) for f in _NOISE_FIELDS}
     cfg = _configured(NoiseConfig, **noise, global_seed=args.seed)
     errors: list[RecordError] = []
-    on_error = "raise" if args.strict else "skip"
     build = functools.partial(_corrupt_one, cfg, args.examples_per_dialogue)
     records = 0
     # Closing the examples on any exit, Ctrl-C included, stops the feed
@@ -234,7 +247,7 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
     # and answer the rest of the input first.
     with _mapper(args.workers) as imap, open(_partial(args.output), "w", encoding="utf-8") as out:
         examples = ingest(
-            _read_lines(args.input), args.format, on_error=on_error, errors_out=errors,
+            _read_lines(args.input), args.format, errors_out=None if args.strict else errors,
             build=build, imap=imap,
         )
         with contextlib.closing(examples):

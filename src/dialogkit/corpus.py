@@ -11,7 +11,9 @@ Reading runs in three streaming stages, which :func:`ingest` chains:
 :func:`split_records` cuts lines into raw records, ``_outcome`` turns one
 into a :class:`Dialogue` or its :class:`RecordError`, in this process or
 in pool workers, and :func:`screen` applies the in-order duplicate-id
-check and the error policy. Both formats check
+check and the error policy, which is set by the error sink: with no
+``errors_out`` list the first :class:`RecordError` is raised, with one
+each is appended to it and its record skipped. Both formats check
 each turn once, with :func:`~dialogkit.core.normalize_turn`, and the
 dialogue keeps the rows it returns: ingest builds no :class:`Turn`.
 :func:`json_record` is the one decoder of a jsonl line, shared with the
@@ -174,22 +176,17 @@ def _outcome(format: str, build, record) -> tuple:
     return line_no, dialogue.id, dialogue if build is None else build(dialogue)
 
 
-def screen(
-    outcomes: Iterable[tuple],
-    on_error: str = "raise",
-    errors_out: list[RecordError] | None = None,
-) -> Iterator:
+def screen(outcomes: Iterable[tuple], errors_out: list[RecordError] | None = None) -> Iterator:
     """Stage 3: apply the duplicate-id check and the error policy in order.
 
     ``outcomes`` are ``(line_no, id, value)`` per record, where ``value`` is
     the :class:`RecordError` of a record that failed to parse, or None for
     a record to drop unseen. The value of each record that passes is
-    yielded. ``on_error="raise"`` raises the first :class:`RecordError`;
-    ``"skip"`` appends it to ``errors_out`` when given.
+    yielded. The sink is the policy: with no ``errors_out`` the first
+    :class:`RecordError` is raised; with a list, each is appended to it and
+    its record skipped.
     The id set kept for the duplicate check is the only per-corpus state.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"unknown error policy {on_error!r}")
     seen_ids: set[str] = set()
     for line_no, dialogue_id, value in outcomes:
         if value is None:
@@ -202,18 +199,16 @@ def screen(
             seen_ids.add(dialogue_id)
             yield value
             continue
-        if on_error == "raise":
+        if errors_out is None:
             raise err
-        if errors_out is not None:
-            errors_out.append(err)
+        errors_out.append(err)
 
 
 def ingest(
     lines: Iterable[str],
     format: str = "jsonl",
-    on_error: str = "raise",
-    errors_out: list[RecordError] | None = None,
     *,
+    errors_out: list[RecordError] | None = None,
     build=None,
     imap=map,
 ) -> Iterator:
@@ -223,11 +218,12 @@ def ingest(
     ``imap`` (the builtin ``map``, or a pool's ``imap``, whose task thread
     then runs the feed of raw records), then :func:`screen`. ``build``, when
     given, is applied to each dialogue where it is parsed, and its result is
-    yielded instead. ``on_error="raise"`` aborts on the first bad record;
-    ``"skip"`` drops it, appending to ``errors_out`` when given. Duplicate
-    ids are record errors. A read error, a :class:`RecordError` or
-    ``OSError`` from ``lines``, ends the feed and is raised once every
-    record before it has been screened; a ``plain`` block it cuts short is
+    yielded instead. With no ``errors_out`` the first bad record raises its
+    :class:`RecordError`; with a list, each bad record's error is appended
+    to it and the record skipped. Duplicate ids are record errors. A read
+    error, a :class:`RecordError` or ``OSError`` from ``lines``, ends the
+    feed and is raised, with or without a list, once every record before
+    it has been screened; a ``plain`` block it cuts short is
     screened for its errors but never yielded. On any exit, closing
     included, the feed stops before its next record.
     """
@@ -247,7 +243,7 @@ def ingest(
 
     try:
         outcomes = imap(partial(_outcome, format, build), records())
-        yield from screen(outcomes, on_error, errors_out)
+        yield from screen(outcomes, errors_out)
     finally:
         stop = True
     if failure is not None:

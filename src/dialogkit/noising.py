@@ -184,17 +184,6 @@ def noise_speaker_mask(
     return out, masked
 
 
-def _split_target(turns: Sequence[Turn]) -> int | None:
-    """Index of the turn with the most sentences (earliest on ties), or None
-    when no turn has at least two."""
-    best_index, best_count = None, 1
-    for index, turn in enumerate(turns):
-        count = len(turn.sentences)
-        if count > best_count:
-            best_index, best_count = index, count
-    return best_index
-
-
 def noise_turn_splitting(turns: Sequence[Turn]) -> tuple[list[Turn], dict | None]:
     """Split the turn with the most sentences into one turn per sentence.
 
@@ -202,12 +191,12 @@ def noise_turn_splitting(turns: Sequence[Turn]) -> tuple[list[Turn], dict | None
     speaker. Deterministic, consumes no draws; identity when every turn has
     a single sentence.
     """
-    target = _split_target(turns)
-    if target is None:
+    sentences = [turn.sentences for turn in turns]
+    target = max(range(len(turns)), key=lambda index: len(sentences[index]), default=None)
+    if target is None or len(sentences[target]) < 2:
         return list(turns), None
-    victim = turns[target]
-    first, *rest = victim.sentences
-    pieces = [Turn(victim.speaker, first), *(Turn(MASK_SPEAKER, s) for s in rest)]
+    first, *rest = sentences[target]
+    pieces = [Turn(turns[target].speaker, first), *(Turn(MASK_SPEAKER, s) for s in rest)]
     out = list(turns[:target]) + pieces + list(turns[target + 1 :])
     return out, {"turn": target, "parts": len(pieces)}
 

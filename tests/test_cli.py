@@ -664,7 +664,7 @@ build = functools.partial(cli._corrupt_one, cli.NoiseConfig(), args.examples_per
 errors = []
 with cli._mapper(args.workers) as imap:
     lines = cli._read_lines(args.input)
-    list(cli.ingest(lines, "jsonl", "skip", errors_out=errors, build=build, imap=imap))
+    list(cli.ingest(lines, "jsonl", errors_out=errors, build=build, imap=imap))
 print(json.dumps([str(e) for e in errors]))
 """
 
@@ -679,7 +679,7 @@ def test_corrupt_workers_report_errors_in_input_order(tmp_path):
     assert result.returncode == 0, result.stderr
     errors = []
     with open(corpus, encoding="utf-8") as lines:
-        for _ in ingest(lines, "jsonl", on_error="skip", errors_out=errors):
+        for _ in ingest(lines, "jsonl", errors_out=errors):
             pass
     assert [str(e) for e in errors] == json.loads(result.stdout)
     assert [e.line_no for e in errors] == [21, 36]
@@ -767,6 +767,40 @@ def test_ctrl_c_ends_a_run_with_one_line_and_code_130(
     assert captured.err.splitlines() == [f"{command[0]}: interrupted"]
     assert os.listdir(tmp_path) == ["corpus.jsonl"]
     assert multiprocessing.active_children() == []
+
+
+def _blocks_sigint(pid):
+    import signal
+
+    with open(f"/proc/{pid}/status", encoding="ascii") as status:
+        [blocked] = [line.split()[1] for line in status if line.startswith("SigBlk:")]
+    return bool(int(blocked, 16) & 1 << signal.SIGINT - 1)
+
+
+def test_pool_workers_start_with_sigint_blocked_and_the_caller_mask_comes_back(monkeypatch):
+    # A worker that takes a Ctrl-C before its initializer ignores it dies,
+    # and the pool forks a replacement that can outlive the run.
+    import multiprocessing
+    import signal
+
+    from dialogkit import cli
+
+    with cli._mapper(2):
+        children = multiprocessing.active_children()
+        assert len(children) == 2
+        assert all(_blocks_sigint(child.pid) for child in children)
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
+    assert multiprocessing.active_children() == []
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
+
+    def failing_pool(*_, **__):
+        assert signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        raise OSError("no processes")
+
+    monkeypatch.setattr(multiprocessing, "Pool", failing_pool)
+    with pytest.raises(OSError), cli._mapper(2):
+        pass
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
 
 
 def _write_labels(path, rows):

@@ -114,7 +114,7 @@ def _check_against_oracle(lines, fmt, dialogue_id, oracle_turns):
     """``oracle_turns()`` gives (speaker, text) per turn or raises the
     record's error; ``ingest`` must agree on the error or on every column."""
     errors: list[RecordError] = []
-    parsed = list(ingest(lines, fmt, on_error="skip", errors_out=errors))
+    parsed = list(ingest(lines, fmt, errors_out=errors))
     try:
         want = oracle_turns()
     except RecordError as err:
@@ -181,7 +181,7 @@ def test_ingest_raises_on_malformed(line):
 def test_ingest_skip_mode_collects_errors():
     lines = [_jsonl(GOOD)[0], "broken", _jsonl(GOOD)[1]]
     errors: list[RecordError] = []
-    dialogues = list(ingest(lines, "jsonl", on_error="skip", errors_out=errors))
+    dialogues = list(ingest(lines, "jsonl", errors_out=errors))
     assert [d.id for d in dialogues] == ["a", "b"]
     assert len(errors) == 1
     assert errors[0].line_no == 2
@@ -193,8 +193,8 @@ def test_skipped_errors_hold_no_traceback_or_chained_exception():
     lines = [*MALFORMED, "[" * 100000, *_jsonl([GOOD[1], GOOD[1]])]
     blocks = ["Ann: fine.", "Bob: has [MASK] inside.", "", "Ann: ok."]
     errors: list[RecordError] = []
-    list(ingest(lines, "jsonl", on_error="skip", errors_out=errors))
-    list(ingest(blocks, "plain", on_error="skip", errors_out=errors))
+    list(ingest(lines, "jsonl", errors_out=errors))
+    list(ingest(blocks, "plain", errors_out=errors))
     assert len(errors) == len(MALFORMED) + 3
     for err in errors:
         assert (err.__traceback__, err.__cause__, err.__context__) == (None, None, None)
@@ -214,7 +214,7 @@ def test_ingest_plain_reports_the_bad_line_inside_a_block():
         list(ingest(text, "plain"))
     assert excinfo.value.line_no == 2
     errors: list[RecordError] = []
-    assert [d.id for d in ingest(text, "plain", on_error="skip", errors_out=errors)] == ["1"]
+    assert [d.id for d in ingest(text, "plain", errors_out=errors)] == ["1"]
     assert [(e.line_no, e.dialogue_id) for e in errors] == [(2, "0")]
 
 
@@ -223,16 +223,16 @@ def _then_raise(lines, error):
     raise error
 
 
-@pytest.mark.parametrize("on_error", ["raise", "skip"])
-def test_plain_block_cut_by_a_read_error_never_passes(on_error):
+@pytest.mark.parametrize("collect", [False, True], ids=["raise", "skip"])
+def test_plain_block_cut_by_a_read_error_never_passes(collect):
     lines = _then_raise(["Ann: whole.", "", "Bob: cut", "Ann: short."], OSError("gone"))
     got: list[str] = []
-    errors: list[RecordError] = []
+    errors: list[RecordError] | None = [] if collect else None
     with pytest.raises(OSError):
-        for dialogue in ingest(lines, "plain", on_error=on_error, errors_out=errors):
+        for dialogue in ingest(lines, "plain", errors_out=errors):
             got.append(dialogue.id)
     assert got == ["0"]
-    assert errors == []
+    assert errors == ([] if collect else None)
 
 
 def test_plain_block_cut_by_a_read_error_reports_its_own_errors_first():
@@ -243,7 +243,7 @@ def test_plain_block_cut_by_a_read_error_reports_its_own_errors_first():
     errors: list[RecordError] = []
     lines = _then_raise(block, RecordError(3, "not valid utf-8"))
     with pytest.raises(RecordError) as excinfo:
-        list(ingest(lines, "plain", on_error="skip", errors_out=errors))
+        list(ingest(lines, "plain", errors_out=errors))
     assert excinfo.value.line_no == 3
     assert [(e.line_no, e.dialogue_id) for e in errors] == [(1, "0")]
 
@@ -298,19 +298,20 @@ _FEED_LINES = {
 _READ_ERRORS = {"record": lambda n: RecordError(n, "not valid utf-8"), "os": lambda n: OSError("gone")}
 
 
-def _feed_run(lines, fmt, on_error, fault, imap):
+def _feed_run(lines, fmt, collect, fault, imap):
     """What ``ingest`` yields, skips and raises on ``lines``, which raise
-    the read error that ``fault`` names at its line, if any."""
+    the read error that ``fault`` names at its line, if any; skipped errors
+    are collected only when ``collect`` is set."""
     if fault is not None:
         at, kind = fault
         lines = _then_raise(lines[:at], _READ_ERRORS[kind](at + 1))
-    got, errors, raised = [], [], None
+    got, errors, raised = [], [] if collect else None, None
     try:
-        for dialogue in ingest(lines, fmt, on_error=on_error, errors_out=errors, imap=imap):
+        for dialogue in ingest(lines, fmt, errors_out=errors, imap=imap):
             got.append(dialogue)
     except (RecordError, OSError) as exc:
         raised = (type(exc), str(exc))
-    return got, [str(e) for e in errors], raised
+    return got, [str(e) for e in errors or ()], raised
 
 
 @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
@@ -318,19 +319,19 @@ def _feed_run(lines, fmt, on_error, fault, imap):
     st.sampled_from(["jsonl", "plain"]).flatmap(
         lambda fmt: st.tuples(st.just(fmt), st.lists(_FEED_LINES[fmt], max_size=12))
     ),
-    st.sampled_from(["raise", "skip"]),
+    st.booleans(),
     st.none() | st.tuples(st.integers(0, 12), st.sampled_from(sorted(_READ_ERRORS))),
 )
-def test_ingest_through_a_pool_like_imap_matches_the_builtin_map(case, on_error, fault):
+def test_ingest_through_a_pool_like_imap_matches_the_builtin_map(case, collect, fault):
     # A read error raised in the pool's feed thread would be lost there:
     # ingest must keep it and raise it after every record before it.
     fmt, lines = case
     pool = _ThreadPool()
     try:
-        got = _feed_run(lines, fmt, on_error, fault, pool.imap)
+        got = _feed_run(lines, fmt, collect, fault, pool.imap)
     finally:
         pool.join()
-    assert got == _feed_run(lines, fmt, on_error, fault, map)
+    assert got == _feed_run(lines, fmt, collect, fault, map)
 
 
 def _counted(lines, pulled):
@@ -390,6 +391,12 @@ def test_ingest_plain_format():
 def test_ingest_unknown_format():
     with pytest.raises(ValueError):
         list(ingest([], "xml"))
+
+
+def test_ingest_takes_its_error_sink_by_keyword_only():
+    # A string in the sink's place is refused, never taken as a sink.
+    with pytest.raises(TypeError):
+        ingest(["broken"], "jsonl", "skip")
 
 
 def test_stats_hand_counted_toy():
