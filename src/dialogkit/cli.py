@@ -21,9 +21,9 @@ on, so the first bad line is reported in file order. Json lines are cut by
 :func:`~dialogkit.corpus.ingest`: it splits records here, maps their parse
 (and, for ``corrupt``, the build of each dialogue's examples) over them,
 and screens them here in input order. One worker maps with the builtin
-``map``; ``--workers N`` maps the same function with ``Pool.imap`` in the
-pool's workers, so the output, exit code and stderr line do not depend on
-N. However the run ends, the pool is closed and joined, never terminated.
+``map``; ``--workers N`` maps the same function with ``Pool.imap`` in
+forked workers, so the output, exit code and stderr line do not depend on
+N. On any exit, Ctrl-C included, the pool is joined, never terminated.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
 paths, an output or sidecar that is the input file), 2 data error
@@ -198,37 +198,41 @@ def _corrupt_one(cfg: NoiseConfig, examples_per_dialogue: int, dialogue) -> list
 def _mapper(workers: int):
     """The map that runs :func:`~dialogkit.corpus.ingest`'s parse and build:
     the builtin ``map`` for one worker, else ``Pool.imap`` over ``workers``
-    processes, which it sends raw records ``_CHUNK_RECORDS`` at a time. On
-    any exit the pool is closed and joined, never terminated: its workers
-    ignore SIGINT, so every task it was sent is answered first. They are
-    forked with SIGINT blocked, so a Ctrl-C cannot kill one before it
-    ignores SIGINT and leave the replacement the pool forks orphaned; the
-    ``initializer`` covers start methods whose workers do not inherit the
-    mask. The caller's mask is restored once the pool exists, and on exit.
+    forked processes, sent raw records ``_CHUNK_RECORDS`` at a time. While
+    the pool exists, a SIGINT that is not ignored only sets a flag, in the
+    workers too; the flag, like any exit, stops the feed before its next
+    record. The pool is closed and joined, never terminated, so every task
+    it was sent is answered; then the caller's handler comes back and a
+    flagged SIGINT is raised as ``KeyboardInterrupt``.
     """
     if workers == 1:
         yield map
         return
+    import itertools
     import multiprocessing
     import signal
+    import threading
 
-    # Read first: a block call that raises KeyboardInterrupt has already set it.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    stop, old = [], signal.getsignal(signal.SIGINT)
+    # Handlers run in the main thread only, and only it may set them.
+    swap = old is not signal.SIG_IGN and threading.current_thread() is threading.main_thread()
+    if swap:
+        signal.signal(signal.SIGINT, lambda signum, _: stop.append(signum))
     pool = None
     try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-        pool = multiprocessing.Pool(
-            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        yield lambda fn, items: pool.imap(
+            fn, itertools.takewhile(lambda _: not stop, items), _CHUNK_RECORDS
         )
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield functools.partial(pool.imap, chunksize=_CHUNK_RECORDS)
     finally:
-        # With a pool the mask is already restored, and a Ctrl-C that the
-        # restore raises must still join it; so the restore comes last.
+        stop.append(None)
         if pool is not None:
             pool.close()
             pool.join()
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if swap:
+            signal.signal(signal.SIGINT, old)
+    if signal.SIGINT in stop:
+        raise KeyboardInterrupt
 
 
 def cmd_corrupt(args: argparse.Namespace) -> _Result:
@@ -242,19 +246,14 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
     errors: list[RecordError] = []
     build = functools.partial(_corrupt_one, cfg, args.examples_per_dialogue)
     records = 0
-    # Closing the examples on any exit, Ctrl-C included, stops the feed
-    # before the pool joins; a pool closed with its feed running would read
-    # and answer the rest of the input first.
     with _mapper(args.workers) as imap, open(_partial(args.output), "w", encoding="utf-8") as out:
-        examples = ingest(
+        for lines in ingest(
             _read_lines(args.input), args.format, errors_out=None if args.strict else errors,
             build=build, imap=imap,
-        )
-        with contextlib.closing(examples):
-            for lines in examples:
-                for line in lines:
-                    out.write(line + "\n")
-                    records += 1
+        ):
+            for line in lines:
+                out.write(line + "\n")
+                records += 1
     config = {
         "noise": asdict(cfg),
         "format": args.format,

@@ -363,7 +363,7 @@ def test_corrupt_workers_past_the_bound_start_no_pool(tmp_path, corpus_path, cap
         asked.append(processes)
         raise _PoolAsked
 
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", pool)
     argv = ["corrupt", str(corpus_path), str(tmp_path / "out.jsonl"), "--workers"]
     for cpus, limit in ((2, 16), (None, 8)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -442,6 +442,13 @@ def _run_cli(argv):
     # A hang in a worker pool must fail the test, not stall the suite.
     return subprocess.run(
         [sys.executable, "-m", "dialogkit", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+def _run_child(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
     )
 
@@ -685,6 +692,19 @@ def test_corrupt_workers_report_errors_in_input_order(tmp_path):
     assert [e.line_no for e in errors] == [21, 36]
 
 
+def _big_corpus(tmp_path):
+    """200 records of more than 20 KB, with a broken record on line 2. One
+    task of 16 such records is larger than a 64 KB pipe buffer, so the feed
+    waits on the workers and a stopped feed has read little of the file."""
+    record = json.loads(dialogue_to_json_line(synthetic_dialogue("d", 300, random.Random(0))))
+    big = [json.dumps({**record, "id": f"d{i}"}) for i in range(200)]
+    assert min(map(len, big)) >= 20_000
+    rows = [big[0], '{"broken', *big[1:]]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return corpus, len(rows)
+
+
 _POOL_TEARDOWN_CHILD = """
 import json, sys
 from multiprocessing import pool
@@ -701,35 +721,43 @@ def counted_lines(path):
         calls["lines"] += 1
         yield line
 
+def full_disk_open(*args, **kwargs):
+    handle = open(*args, **kwargs)
+
+    def write(_):
+        raise OSError(28, "No space left on device")
+
+    handle.write = write
+    return handle
+
 pool.Pool.terminate, cli._read_lines = counted_terminate, counted_lines
-code = cli.main(["corrupt", *sys.argv[1:3], "--workers", "2", "--strict"])
+if sys.argv[3] == "full-disk":
+    cli.open = full_disk_open
+code = cli.main(["corrupt", *sys.argv[1:3], "--workers", "2", *sys.argv[4:]])
 print(json.dumps(calls))
 sys.exit(code)
 """
 
 
 def test_corrupt_workers_join_the_pool_after_a_strict_error(tmp_path):
-    # One task of 16 such records is larger than a 64 KB pipe buffer, so a
-    # pool terminated while its task thread sends one could wait forever.
-    record = json.loads(dialogue_to_json_line(synthetic_dialogue("d", 300, random.Random(0))))
-    big = [json.dumps({**record, "id": f"d{i}"}) for i in range(200)]
-    assert min(map(len, big)) >= 20_000
-    rows = [big[0], '{"broken', *big[1:]]
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # A pool terminated while its task thread sends a task larger than the
+    # pipe buffer could wait forever; one joined with its feed running would
+    # read the whole input first. The second case fails in the write loop.
+    corpus, line_count = _big_corpus(tmp_path)
     out = tmp_path / "out" / "out.jsonl"
     out.parent.mkdir()
-    result = subprocess.run(
-        [sys.executable, "-c", _POOL_TEARDOWN_CHILD, str(corpus), str(out)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert result.returncode == 2
-    [line] = result.stderr.splitlines()
-    assert line.startswith("corrupt: line 2: invalid json: ")
-    assert os.listdir(out.parent) == []
-    calls = json.loads(result.stdout)
-    assert calls["terminate"] == 0
-    assert calls["lines"] < len(rows)
+    for case, flags, code, first in (
+        ("strict-error", ["--strict"], 2, "corrupt: line 2: invalid json: "),
+        ("full-disk", [], 1, "corrupt: [Errno 28] No space left on device"),
+    ):
+        result = _run_child(_POOL_TEARDOWN_CHILD, corpus, out, case, *flags)
+        assert result.returncode == code, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith(first)
+        assert os.listdir(out.parent) == []
+        calls = json.loads(result.stdout)
+        assert calls["terminate"] == 0
+        assert calls["lines"] < line_count
 
 
 def _interrupt(*_):
@@ -769,38 +797,120 @@ def test_ctrl_c_ends_a_run_with_one_line_and_code_130(
     assert multiprocessing.active_children() == []
 
 
-def _blocks_sigint(pid):
-    import signal
+# A real SIGINT runs in a child, with a timeout: a hang is how this fails.
+_SIGINT_CHILD = """
+import json, os, signal, sys
+from dialogkit import cli
+read_lines, calls = cli._read_lines, {"lines": 0}
 
-    with open(f"/proc/{pid}/status", encoding="ascii") as status:
-        [blocked] = [line.split()[1] for line in status if line.startswith("SigBlk:")]
-    return bool(int(blocked, 16) & 1 << signal.SIGINT - 1)
+def interrupting_lines(path):
+    for calls["lines"], line in enumerate(read_lines(path), start=1):
+        yield line
+        if calls["lines"] == 5:
+            os.kill(os.getpid(), signal.SIGINT)
+
+if sys.argv[3] == "ignored":
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+cli._read_lines = interrupting_lines
+code = cli.main(["corrupt", *sys.argv[1:3], "--workers", "2"])
+print(json.dumps(calls))
+sys.exit(code)
+"""
 
 
-def test_pool_workers_start_with_sigint_blocked_and_the_caller_mask_comes_back(monkeypatch):
-    # A worker that takes a Ctrl-C before its initializer ignores it dies,
-    # and the pool forks a replacement that can outlive the run.
+def test_sigint_under_workers_stops_the_feed_and_exits_130(tmp_path):
+    corpus, line_count = _big_corpus(tmp_path)
+    out = tmp_path / "out" / "out.jsonl"
+    out.parent.mkdir()
+    result = _run_child(_SIGINT_CHILD, corpus, out, "handled")
+    assert result.returncode == 130
+    assert result.stderr.splitlines() == ["corrupt: interrupted"]
+    assert os.listdir(out.parent) == []
+    assert 5 <= json.loads(result.stdout)["lines"] < line_count
+
+
+def test_an_ignored_sigint_stays_ignored_under_workers(tmp_path, capsys):
+    # As for a job started with & by a shell that has no job control.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(_bad_corpora()["bad-json"][1])
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    assert main(["corrupt", str(corpus), str(serial)]) == 0
+    result = _run_child(_SIGINT_CHILD, corpus, parallel, "ignored")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stderr.splitlines()[-1])["records"] == 40 - 2
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_corrupt_workers_run_off_the_main_thread(tmp_path, corpus_path, capsys):
+    # Only the main thread may set a signal handler.
+    import threading
+
+    outs, codes = [tmp_path / "out1.jsonl", tmp_path / "out2.jsonl"], []
+    argv = ["corrupt", str(corpus_path), str(outs[1]), "--workers", "2"]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join(60)
+    assert codes == [0]
+    assert main(["corrupt", str(corpus_path), str(outs[0])]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+_MAPPER_SIGINT_CHILD = """
+import multiprocessing, os, signal
+from dialogkit import cli
+fed = []
+
+def feed():
+    for item in range(10**6):
+        fed.append(item)
+        yield item
+
+# Leaving the block stops a feed that nothing closed.
+with cli._mapper(2) as imap:
+    results = imap(abs, feed())
+    assert next(results) == 0
+assert len(fed) < 10**6
+old, reached = signal.getsignal(signal.SIGINT), False
+try:
+    with cli._mapper(2) as imap:
+        pids = sorted(child.pid for child in multiprocessing.active_children())
+        assert len(pids) == 2
+        for pid in pids:
+            os.kill(pid, signal.SIGINT)
+        assert list(imap(abs, range(-100, 0))) == list(range(100, 0, -1))
+        assert sorted(child.pid for child in multiprocessing.active_children()) == pids
+        os.kill(os.getpid(), signal.SIGINT)
+        assert list(imap(abs, range(-100, 0))) == []
+        reached = True
+except KeyboardInterrupt:
+    assert reached, "the SIGINT was raised inside the block"
+else:
+    raise AssertionError("leaving the block raised no KeyboardInterrupt")
+assert multiprocessing.active_children() == []
+assert signal.getsignal(signal.SIGINT) is old
+"""
+
+
+def test_a_sigint_under_the_pool_stops_its_feed_and_is_raised_on_exit(monkeypatch):
+    # A worker killed by a Ctrl-C would be replaced by one that can outlive
+    # the run; a KeyboardInterrupt raised inside Pool.imap can deadlock it.
     import multiprocessing
     import signal
 
     from dialogkit import cli
 
-    with cli._mapper(2):
-        children = multiprocessing.active_children()
-        assert len(children) == 2
-        assert all(_blocks_sigint(child.pid) for child in children)
-        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
-    assert multiprocessing.active_children() == []
-    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
+    result = _run_child(_MAPPER_SIGINT_CHILD)
+    assert result.returncode == 0, result.stderr
+    old = signal.getsignal(signal.SIGINT)
 
-    def failing_pool(*_, **__):
-        assert signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    def failing_pool(*_):
+        assert signal.getsignal(signal.SIGINT) is not old
         raise OSError("no processes")
 
-    monkeypatch.setattr(multiprocessing, "Pool", failing_pool)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", failing_pool)
     with pytest.raises(OSError), cli._mapper(2):
         pass
-    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
+    assert signal.getsignal(signal.SIGINT) is old
 
 
 def _write_labels(path, rows):
