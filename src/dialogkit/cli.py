@@ -14,16 +14,17 @@ leaves any earlier output untouched.
 
 Every command reads its input through ``_read_lines``, which accepts LF,
 CRLF and CR line endings and checks each line as UTF-8 before handing it
-on, so the first bad line is reported in file order. Json lines are cut by
-:func:`~dialogkit.corpus.split_records` and decoded by
-:func:`~dialogkit.corpus.json_record` in every command. ``stats`` and
-``corrupt``, at any ``--workers``, read through
-:func:`~dialogkit.corpus.ingest`: it splits records here, maps their parse
-(and, for ``corrupt``, the build of each dialogue's examples) over them,
-and screens them here in input order. One worker maps with the builtin
-``map``; ``--workers N`` maps the same function with ``Pool.imap`` in
-forked workers, so the output, exit code and stderr line do not depend on
-N. On any exit, Ctrl-C included, the pool is joined, never terminated.
+on, so the first bad line is reported in file order. Every command reads
+its records through :func:`~dialogkit.corpus.ingest` with its own parse
+function, so :func:`~dialogkit.corpus.screen` is the one duplicate-id check
+and the one choice between raising the first bad record (``--strict``, and
+always in ``eval-seg``) and skipping it into a counting ``_Skipped`` sink.
+``ingest`` splits records here, maps their parse (for ``corrupt``, with the
+build of each dialogue's examples) over them, and screens them here in
+input order. One worker maps with the builtin ``map``; ``--workers N`` maps
+the same function with ``Pool.imap`` in forked workers, so the output, exit
+code and stderr line do not depend on N. On any exit, Ctrl-C included, the
+pool is joined, never terminated.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
 paths, an output or sidecar that is the input file), 2 data error
@@ -49,14 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 from . import __version__
-from .corpus import (
-    FORMATS,
-    RecordError,
-    compute_stats,
-    ingest,
-    json_record,
-    split_records,
-)
+from .corpus import PARSERS, RecordError, compute_stats, ingest, json_record
 from .metrics import (
     Segmentation,
     _pk_windiff,
@@ -126,6 +120,18 @@ class _Result:
     code: int = EXIT_OK
 
 
+class _Skipped(list):
+    """Skip mode's error sink: it counts every error it is handed but keeps
+    only the first 10, so its memory does not grow with the bad lines."""
+
+    count = 0
+
+    def append(self, error: RecordError) -> None:
+        self.count += 1
+        if len(self) < 10:
+            super().append(error)
+
+
 def _default_seed() -> int:
     raw = os.environ.get(_SEED_ENV, "0")
     try:
@@ -172,7 +178,7 @@ def _partial(path: str) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> _Result:
-    errors: list[RecordError] = []
+    errors = _Skipped()
     dialogues = ingest(
         _read_lines(args.input), args.format, errors_out=None if args.strict else errors
     )
@@ -181,17 +187,19 @@ def cmd_stats(args: argparse.Namespace) -> _Result:
         {"format": args.format, "strict": args.strict},
         [args.input],
         stats.dialogue_count,
-        len(errors),
+        errors.count,
         rows=[stats.as_dict()],
     )
 
 
-def _corrupt_one(cfg: NoiseConfig, examples_per_dialogue: int, dialogue) -> list[str]:
+def _corrupt_record(parse, cfg: NoiseConfig, examples_per_dialogue: int, *record) -> tuple:
+    """``corrupt``'s parse: a raw record's dialogue id and its example lines."""
+    dialogue_id, dialogue = parse(*record)
     lines = []
     for index in range(examples_per_dialogue):
         example = build_example(dialogue, cfg, example_index=index)
         lines.append(_dump(example.to_record()))
-    return lines
+    return dialogue_id, lines
 
 
 @contextlib.contextmanager
@@ -243,13 +251,15 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
         raise _Failure(EXIT_USAGE, f"--workers must be in [1, {max_workers}]")
     noise = {f.name: getattr(args, f.name) for f in _NOISE_FIELDS}
     cfg = _configured(NoiseConfig, **noise, global_seed=args.seed)
-    errors: list[RecordError] = []
-    build = functools.partial(_corrupt_one, cfg, args.examples_per_dialogue)
+    errors = _Skipped()
+    parse = functools.partial(
+        _corrupt_record, PARSERS[args.format], cfg, args.examples_per_dialogue
+    )
     records = 0
     with _mapper(args.workers) as imap, open(_partial(args.output), "w", encoding="utf-8") as out:
         for lines in ingest(
             _read_lines(args.input), args.format, errors_out=None if args.strict else errors,
-            build=build, imap=imap,
+            parse=parse, imap=imap,
         ):
             for line in lines:
                 out.write(line + "\n")
@@ -261,24 +271,20 @@ def cmd_corrupt(args: argparse.Namespace) -> _Result:
         "workers": args.workers,
         "strict": args.strict,
     }
-    return _Result(config, [args.input], records, len(errors))
+    return _Result(config, [args.input], records, errors.count)
 
 
-def _load_labeled_segmentations(path: str) -> dict[str, Segmentation]:
-    segmentations: dict[str, Segmentation] = {}
-    for line_no, line in split_records(_read_lines(path), "jsonl"):
-        record = json_record(line, line_no)
-        try:
-            seg = labels_to_segmentation(record["labels"])
-            identifier = record["id"]
-            if not isinstance(identifier, str):
-                raise TypeError(f"id must be a string, not {identifier!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecordError(line_no, f"bad segmentation record: {exc}")
-        if identifier in segmentations:
-            raise RecordError(line_no, f"duplicate id {identifier!r}")
-        segmentations[identifier] = seg
-    return segmentations
+def _segmentation(index: int, line_no: int, line: str) -> tuple:
+    """``eval-seg``'s parse: a labels line as ``(id, (id, segmentation))``."""
+    record = json_record(line, line_no)
+    try:
+        seg = labels_to_segmentation(record["labels"])
+        identifier = record["id"]
+        if not isinstance(identifier, str):
+            raise TypeError(f"id must be a string, not {identifier!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecordError(line_no, f"bad segmentation record: {exc}")
+    return identifier, (identifier, seg)
 
 
 def _segmentation_rows(triples, k: int | None, tag: dict) -> list[dict]:
@@ -313,8 +319,8 @@ def _random_baseline(reference: Segmentation, rng: random.Random) -> Segmentatio
 def cmd_eval_seg(args: argparse.Namespace) -> _Result:
     if args.k is not None and args.k < 1:
         raise _Failure(EXIT_USAGE, "--k must be at least 1")
-    references = _load_labeled_segmentations(args.reference)
-    hypotheses = _load_labeled_segmentations(args.hypothesis)
+    references = dict(ingest(_read_lines(args.reference), parse=_segmentation))
+    hypotheses = dict(ingest(_read_lines(args.hypothesis), parse=_segmentation))
     if set(references) != set(hypotheses):
         missing = sorted(set(references) ^ set(hypotheses))
         raise _Failure(EXIT_DATA, f"id mismatch between files: {missing[:5]}")
@@ -340,26 +346,23 @@ def cmd_eval_seg(args: argparse.Namespace) -> _Result:
     )
 
 
+def _rouge_pair(index: int, line_no: int, line: str) -> tuple:
+    """``eval-rouge``'s parse: a pairs line as ``(id, (id, candidate, reference))``."""
+    record = json_record(line, line_no)
+    fields = tuple(record.get(key) for key in ("id", "candidate", "reference"))
+    if not all(isinstance(x, str) for x in fields):
+        raise RecordError(line_no, "id, candidate and reference must be strings")
+    return fields[0], fields
+
+
 def cmd_eval_rouge(args: argparse.Namespace) -> _Result:
     rows: list[dict] = []
     r1_scores, r2_scores, rl_scores = [], [], []
-    seen: set[str] = set()
-    errors = 0
-    for line_no, line in split_records(_read_lines(args.pairs), "jsonl"):
-        try:
-            record = json_record(line, line_no)
-            fields = tuple(record.get(key) for key in ("id", "candidate", "reference"))
-            if not all(isinstance(x, str) for x in fields):
-                raise RecordError(line_no, "id, candidate and reference must be strings")
-            identifier, candidate, reference = fields
-            if identifier in seen:
-                raise RecordError(line_no, f"duplicate id {identifier!r}")
-        except RecordError:
-            if args.strict:
-                raise
-            errors += 1
-            continue
-        seen.add(identifier)
+    errors = _Skipped()
+    pairs = ingest(
+        _read_lines(args.pairs), errors_out=None if args.strict else errors, parse=_rouge_pair
+    )
+    for identifier, candidate, reference in pairs:
         r1 = rouge_n(candidate, reference, 1)
         r2 = rouge_n(candidate, reference, 2)
         rl = rouge_l(candidate, reference, sentence_split=args.rouge_l_split)
@@ -387,7 +390,7 @@ def cmd_eval_rouge(args: argparse.Namespace) -> _Result:
         "strict": args.strict,
         "preprocessing": "lowercase, edge punctuation stripped, no stemming",
     }
-    return _Result(config, [args.pairs], len(r1_scores), errors, rows=rows)
+    return _Result(config, [args.pairs], len(r1_scores), errors.count, rows=rows)
 
 
 def cmd_attn_check(args: argparse.Namespace) -> _Result:
@@ -434,7 +437,7 @@ def build_parser() -> _Parser:
 
     stats = subparsers.add_parser("stats", help="corpus statistics as json")
     stats.add_argument("input")
-    stats.add_argument("--format", choices=FORMATS, default="jsonl")
+    stats.add_argument("--format", choices=PARSERS, default="jsonl")
     stats.add_argument("--strict", action="store_true")
     stats.set_defaults(func=cmd_stats)
 
@@ -443,7 +446,7 @@ def build_parser() -> _Parser:
     )
     corrupt.add_argument("input")
     corrupt.add_argument("output")
-    corrupt.add_argument("--format", choices=FORMATS, default="jsonl")
+    corrupt.add_argument("--format", choices=PARSERS, default="jsonl")
     corrupt.add_argument("--seed", type=int, default=None)
     corrupt.add_argument("--examples-per-dialogue", type=int, default=1)
     corrupt.add_argument("--workers", type=int, default=1)

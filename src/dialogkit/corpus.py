@@ -8,16 +8,18 @@ Two input formats are supported:
   the 0-based block index (as a decimal string) becomes the dialogue id.
 
 Reading runs in three streaming stages, which :func:`ingest` chains:
-:func:`split_records` cuts lines into raw records, ``_outcome`` turns one
-into a :class:`Dialogue` or its :class:`RecordError`, in this process or
-in pool workers, and :func:`screen` applies the in-order duplicate-id
-check and the error policy, which is set by the error sink: with no
-``errors_out`` list the first :class:`RecordError` is raised, with one
-each is appended to it and its record skipped. Both formats check
-each turn once, with :func:`~dialogkit.core.normalize_turn`, and the
-dialogue keeps the rows it returns: ingest builds no :class:`Turn`.
+:func:`split_records` cuts lines into raw records, ``_outcome`` runs one
+through a parse function, in this process or in pool workers, and
+:func:`screen` applies the in-order duplicate-id check and the error
+policy, which is set by the error sink: with no ``errors_out`` the first
+:class:`RecordError` is raised, with one each is appended to it and its
+record skipped. Every command of the CLI reads through :func:`ingest`, so
+:func:`screen` is the one duplicate check and the one choice between skip
+and raise. Each format's default parse, in :data:`PARSERS`, checks each
+turn once, with :func:`~dialogkit.core.normalize_turn`, and the dialogue
+keeps the rows it returns: ingest builds no :class:`Turn`.
 :func:`json_record` is the one decoder of a jsonl line, shared with the
-evaluation readers.
+evaluation parsers.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from typing import Iterable, Iterator
 
 from .core import MASK, MASK_SPEAKER, Dialogue, _has_lone_surrogate
 from .core import normalize_turn, split_turn_line
-
-FORMATS = ("jsonl", "plain")
-
 
 class RecordError(Exception):
     """A single corpus record failed validation."""
@@ -77,7 +76,7 @@ def json_record(line: str, line_no: int) -> dict:
     return record
 
 
-def _dialogue_from_json_line(line: str, line_no: int) -> Dialogue:
+def _dialogue_from_json_line(index: int, line_no: int, line: str) -> tuple[str, Dialogue]:
     record = json_record(line, line_no)
     dialogue_id = record.get("id")
     if not isinstance(dialogue_id, str) or not dialogue_id:
@@ -100,11 +99,11 @@ def _dialogue_from_json_line(line: str, line_no: int) -> Dialogue:
             rows.append(normalize_turn(speaker, utterance))
         except ValueError as exc:
             raise RecordError(line_no, str(exc), dialogue_id) from exc
-    return Dialogue.from_rows(dialogue_id, rows)
+    return dialogue_id, Dialogue.from_rows(dialogue_id, rows)
 
 
-def _dialogue_from_block(block: list[tuple[int, str]], block_index: int) -> Dialogue:
-    dialogue_id = str(block_index)
+def _dialogue_from_block(index: int, first_line_no: int, block: list) -> tuple[str, Dialogue]:
+    dialogue_id = str(index)
     rows = []
     for line_no, line in block:
         _check_no_special_tokens(line, line_no, dialogue_id)
@@ -112,7 +111,12 @@ def _dialogue_from_block(block: list[tuple[int, str]], block_index: int) -> Dial
             rows.append(normalize_turn(*split_turn_line(line)))
         except ValueError as exc:
             raise RecordError(line_no, str(exc), dialogue_id) from exc
-    return Dialogue.from_rows(dialogue_id, rows)
+    return dialogue_id, Dialogue.from_rows(dialogue_id, rows)
+
+
+# The dialogue parse of each corpus format, ``parse(index, line_no, payload)
+# -> (id, dialogue)``; ``index`` is the 0-based position that names a block.
+PARSERS = {"jsonl": _dialogue_from_json_line, "plain": _dialogue_from_block}
 
 
 class _CutBlock(list):
@@ -153,27 +157,23 @@ def split_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, obje
         yield block[0][0], block
 
 
-def _outcome(format: str, build, record) -> tuple:
+def _outcome(parse, record) -> tuple:
     """Stage 2: one ``(index, (line_no, payload))`` raw record as a
-    :func:`screen` outcome, ``(line_no, id, value)``, where ``value`` is the
-    dialogue, or ``build(dialogue)`` when ``build`` is given. A record that
-    fails gives ``(line_no, None, error)`` with a fresh copy of the
+    :func:`screen` outcome, ``(line_no, id, value)``, where ``(id, value)``
+    is ``parse(index, line_no, payload)``. A record that fails gives
+    ``(line_no, None, error)`` with a fresh copy of the
     :class:`RecordError`, which keeps the line it was raised at but not its
     traceback, cause or their frames. A ``_CutBlock`` that parses gives
-    ``(line_no, None, None)``, which :func:`screen` drops. ``index``, the
-    record's 0-based position, names a plain block.
+    ``(line_no, None, None)``, which :func:`screen` drops.
     """
     index, (line_no, payload) = record
     try:
-        if format == "jsonl":
-            dialogue = _dialogue_from_json_line(payload, line_no)
-        else:
-            dialogue = _dialogue_from_block(payload, index)
+        identifier, value = parse(index, line_no, payload)
     except RecordError as err:
         return line_no, None, RecordError(err.line_no, err.reason, err.dialogue_id)
     if isinstance(payload, _CutBlock):
         return line_no, None, None
-    return line_no, dialogue.id, dialogue if build is None else build(dialogue)
+    return line_no, identifier, value
 
 
 def screen(outcomes: Iterable[tuple], errors_out: list[RecordError] | None = None) -> Iterator:
@@ -183,8 +183,8 @@ def screen(outcomes: Iterable[tuple], errors_out: list[RecordError] | None = Non
     the :class:`RecordError` of a record that failed to parse, or None for
     a record to drop unseen. The value of each record that passes is
     yielded. The sink is the policy: with no ``errors_out`` the first
-    :class:`RecordError` is raised; with a list, each is appended to it and
-    its record skipped.
+    :class:`RecordError` is raised; with a sink, a list or any object with
+    ``append``, each is appended to it and its record skipped.
     The id set kept for the duplicate check is the only per-corpus state.
     """
     seen_ids: set[str] = set()
@@ -209,25 +209,26 @@ def ingest(
     format: str = "jsonl",
     *,
     errors_out: list[RecordError] | None = None,
-    build=None,
+    parse=None,
     imap=map,
 ) -> Iterator:
-    """Stream validated dialogues out of an iterable of text lines.
+    """Stream the validated records of an iterable of text lines.
 
     The three stages: :func:`split_records`, then ``_outcome`` under
     ``imap`` (the builtin ``map``, or a pool's ``imap``, whose task thread
-    then runs the feed of raw records), then :func:`screen`. ``build``, when
-    given, is applied to each dialogue where it is parsed, and its result is
-    yielded instead. With no ``errors_out`` the first bad record raises its
-    :class:`RecordError`; with a list, each bad record's error is appended
-    to it and the record skipped. Duplicate ids are record errors. A read
-    error, a :class:`RecordError` or ``OSError`` from ``lines``, ends the
-    feed and is raised, with or without a list, once every record before
-    it has been screened; a ``plain`` block it cuts short is
-    screened for its errors but never yielded. On any exit, closing
-    included, the feed stops before its next record.
+    then runs the feed of raw records), then :func:`screen`. ``parse`` turns
+    a raw record into ``(id, value)``, and ``value`` is yielded; it defaults
+    to the format's dialogue parse in :data:`PARSERS`. With no
+    ``errors_out`` the first bad record raises its :class:`RecordError`;
+    with a sink, each bad record's error is appended to it and the record
+    skipped. Duplicate ids are record errors. A read error, a
+    :class:`RecordError` or ``OSError`` from ``lines``, ends the feed and is
+    raised, with or without a sink, once every record before it has been
+    screened; a ``plain`` block it cuts short is screened for its errors
+    but never yielded. On any exit, closing included, the feed stops before
+    its next record.
     """
-    if format not in FORMATS:
+    if format not in PARSERS:
         raise ValueError(f"unknown corpus format {format!r}")
     stop, failure = False, None
 
@@ -242,7 +243,7 @@ def ingest(
             failure = exc
 
     try:
-        outcomes = imap(partial(_outcome, format, build), records())
+        outcomes = imap(partial(_outcome, parse or PARSERS[format]), records())
         yield from screen(outcomes, errors_out)
     finally:
         stop = True

@@ -667,11 +667,13 @@ _POOL_ERRORS_CHILD = """
 import functools, json, sys
 from dialogkit import cli
 args = cli.build_parser().parse_args(["corrupt", *sys.argv[1:3], "--workers", "2"])
-build = functools.partial(cli._corrupt_one, cli.NoiseConfig(), args.examples_per_dialogue)
+parse = functools.partial(
+    cli._corrupt_record, cli.PARSERS["jsonl"], cli.NoiseConfig(), args.examples_per_dialogue
+)
 errors = []
 with cli._mapper(args.workers) as imap:
     lines = cli._read_lines(args.input)
-    list(cli.ingest(lines, "jsonl", errors_out=errors, build=build, imap=imap))
+    list(cli.ingest(lines, "jsonl", errors_out=errors, parse=parse, imap=imap))
 print(json.dumps([str(e) for e in errors]))
 """
 
@@ -1024,6 +1026,17 @@ def test_eval_seg_malformed_record(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_seg_duplicate_id_is_worded_like_a_corpus_duplicate(tmp_path, capsys):
+    ref, hyp = tmp_path / "ref.jsonl", tmp_path / "hyp.jsonl"
+    _write_labels(ref, [{"id": "a", "labels": [0, 1, 0]}, {"id": "b", "labels": [0, 1, 0]}])
+    _write_labels(hyp, [{"id": "b", "labels": [0, 1, 0]}, {"id": "a", "labels": [1, 0, 0]},
+                        {"id": "b", "labels": [0, 0, 0]}])
+    assert main(["eval-seg", str(ref), str(hyp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["eval-seg: line 3 (dialogue 'b'): duplicate dialogue id 'b'"]
+
+
 @pytest.mark.parametrize(
     "record, hypothesis_labels, flags, message",
     [
@@ -1120,15 +1133,22 @@ def test_eval_rouge_malformed_pair_policy(tmp_path, capsys):
     capsys.readouterr()
 
 
+_NOT_STRINGS = "eval-rouge: line 2: id, candidate and reference must be strings"
+
+
 @pytest.mark.parametrize(
-    "bad_pair",
+    "bad_pair, message",
     [
-        pytest.param({"id": "p", "candidate": "b", "reference": "b"}, id="duplicate-id"),
-        pytest.param({"id": ["x"], "candidate": "b", "reference": "b"}, id="list-id"),
-        pytest.param({"id": 7, "candidate": "b", "reference": "b"}, id="int-id"),
+        pytest.param(
+            {"id": "p", "candidate": "b", "reference": "b"},
+            "eval-rouge: line 2 (dialogue 'p'): duplicate dialogue id 'p'",
+            id="duplicate-id",
+        ),
+        pytest.param({"id": ["x"], "candidate": "b", "reference": "b"}, _NOT_STRINGS, id="list-id"),
+        pytest.param({"id": 7, "candidate": "b", "reference": "b"}, _NOT_STRINGS, id="int-id"),
     ],
 )
-def test_eval_rouge_bad_id_is_malformed_pair(tmp_path, capsys, bad_pair):
+def test_eval_rouge_bad_id_is_malformed_pair(tmp_path, capsys, bad_pair, message):
     pairs = tmp_path / "pairs.jsonl"
     good = {"id": "p", "candidate": "a", "reference": "a"}
     pairs.write_text(json.dumps(good) + "\n" + json.dumps(bad_pair) + "\n")
@@ -1139,8 +1159,100 @@ def test_eval_rouge_bad_id_is_malformed_pair(tmp_path, capsys, bad_pair):
     assert main(["eval-rouge", str(pairs), "--strict"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("eval-rouge: line 2: ")
+    assert captured.err.splitlines() == [message]
+
+
+_PEAK_MEMORY_CHILD = """
+import sys
+from dialogkit.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(code, peak_kb)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("command", ["stats", "eval-rouge"])
+def test_skip_mode_memory_does_not_grow_with_bad_lines(tmp_path, command):
+    # The child's own peak, VmHWM: ru_maxrss would count the pages of this
+    # process at the fork.
+    path = tmp_path / "bad.jsonl"
+    path.write_text("x\n" * 200_000)
+    result = _run_child(_PEAK_MEMORY_CHILD, command, path)
+    code, peak_kb = map(int, result.stdout.splitlines()[-1].split())
+    assert code == 0, result.stderr
+    manifest = json.loads(result.stderr.splitlines()[-1])
+    assert (manifest["records"], manifest["errors"]) == (0, 200_000)
+    assert peak_kb < 32 * 1024
+
+
+def _scoring_files(specs):
+    """A pairs file and a labels file, line for line, from ``(kind, id)``
+    specs; then the ids skip mode keeps, in order, and the 1-based numbers
+    of the lines it drops."""
+    pairs, labels, seen, dropped = [], [], [], []
+    for line_no, (kind, identifier) in enumerate(specs, 1):
+        pair = {"id": identifier, "candidate": "the cat sat.", "reference": f"a cat {identifier}."}
+        label = {"id": identifier, "labels": [0, 1, 0, 0]}
+        if kind == "blank":
+            pairs.append("  ")
+            labels.append("")
+            continue
+        if kind == "bad-id":
+            pair["id"] = label["id"] = 7
+        elif kind == "bad-field":
+            pair["candidate"], label["labels"] = None, [0, 2]
+        pairs.append('{"id": "a"' if kind == "bad-json" else json.dumps(pair))
+        labels.append('{"id": "a"' if kind == "bad-json" else json.dumps(label))
+        if kind != "good" or identifier in seen:
+            dropped.append(line_no)
+        else:
+            seen.append(identifier)
+    return pairs, labels, seen, dropped
+
+
+def _main_captured(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue().splitlines()
+
+
+_SCORING_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(["good", "good", "bad-json", "bad-id", "bad-field", "blank"]),
+        st.sampled_from(["a", "b", "c"]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_EXPLAIN)
+@given(_SCORING_SPECS)
+def test_evaluation_readers_share_one_policy(specs):
+    pairs, labels, first_ids, dropped = _scoring_files(specs)
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs_path, labels_path = os.path.join(tmp, "pairs.jsonl"), os.path.join(tmp, "labels.jsonl")
+        for path, lines in ((pairs_path, pairs), (labels_path, labels)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("".join(line + "\n" for line in lines))
+        code, out, err = _main_captured(["eval-rouge", pairs_path])
+        assert code == 0
+        manifest = json.loads(err[-1])
+        assert manifest["records"] + manifest["errors"] == sum(kind != "blank" for kind, _ in specs)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["id"] for row in rows[:-1]] == first_ids
+        runs = {
+            "eval-rouge": _main_captured(["eval-rouge", pairs_path, "--strict"]),
+            "eval-seg": _main_captured(["eval-seg", labels_path, labels_path]),
+        }
+    for command, (code, out, err) in runs.items():
+        if not dropped:
+            assert code == 0 and json.loads(err[-1])["records"] == len(first_ids)
+            continue
+        assert (code, out, len(err)) == (2, "", 1)
+        assert re.match(rf"{command}: line {dropped[0]}[ :]", err[0]), err[0]
 
 
 def test_attn_check_failure_exits_3_with_manifest_last(monkeypatch, capsys):
